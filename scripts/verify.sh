@@ -98,13 +98,14 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" \
     test_svc
 ctest --test-dir "$TSAN_BUILD" -R 'sweep|worm_pool|shard_kernel|svc' \
     --output-on-failure
-# The shard-invariance and fast-forward fingerprints exercise the parallel
-# kernel on full protocol traffic — including the rebalanced (load-balanced
-# plan) variants and the sharded fast-forward fold; run just those under
-# TSan (the rest of the determinism suite is single-threaded and slow under
-# instrumentation).
+# The shard-invariance, fast-forward and contended fingerprints exercise the
+# parallel kernel on full protocol traffic — including the rebalanced
+# (load-balanced plan) variants, the sharded fast-forward fold, and the
+# cross-strip wakes of parked heads and VCs, which write a neighbour's
+# parking state during traverse; run just those under TSan (the rest of the
+# determinism suite is single-threaded and slow under instrumentation).
 "$TSAN_BUILD"/tests/test_determinism \
-    --gtest_filter='Determinism.ShardCountInvariance:Determinism.FastForwardInvariance'
+    --gtest_filter='Determinism.ShardCountInvariance:Determinism.FastForwardInvariance:Determinism.ContendedStallCountersAcrossKernels'
 
 echo
 echo "verify: OK"

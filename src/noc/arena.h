@@ -74,12 +74,16 @@ enum : std::uint8_t {
 struct VcHot {
   Cycle ready_at = 0;        // header pipeline gate
   RingIdx ring;              // flit ring occupancy (storage in the flit slab)
-  std::int8_t out_port = -1; // allocated output direction (0..3), -1 if none
+  std::int8_t out_port = -1; // allocated output direction (0..3), -1 if none;
+                             // a parked head's wanted one (router.h)
   std::int8_t out_vc = -1;
   std::int8_t cons_ch = -1;  // allocated consumption channel, -1 if none
   std::uint8_t flags = 0;    // kVc* bits (owning router only)
   std::uint8_t claimed = 0;  // a worm holds this VC (claim -> tail departure)
-  std::uint8_t pad[1] = {};
+  /// 1 + the upstream slot parked until this (full) VC pops a flit; 0 when
+  /// none.  Written by the upstream router at park, cleared at the pop, both
+  /// in traverse.
+  std::uint8_t waiter = 0;
 
   /// Probed cross-strip by upstream routers during the sharded allocate
   /// phase.  Neither byte is concurrently written there (claimed has a single

@@ -35,6 +35,9 @@ Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& param
   metrics_ = metrics;
   stats_.worm_latency.bind(&metrics_->histogram("worm_latency", 0.0, 16.0, 256));
   const int n = mesh_.num_nodes();
+  const char* sweep_env = std::getenv("MDW_FULL_SWEEP");
+  full_sweep_ =
+      params_.full_sweep || (sweep_env != nullptr && *sweep_env != '0');
   arena_.init(n, params_.vcs_total(), params_.inj_vcs_total(),
               params_.vc_buffer_flits, params_.consumption_channels,
               params_.cons_buffer_flits);
@@ -50,10 +53,11 @@ Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& param
   for (NodeId id = 0; id < n; ++id) {
     bank_counter_names_.push_back("iack_bank." + std::to_string(id));
   }
-  const char* sweep_env = std::getenv("MDW_FULL_SWEEP");
-  full_sweep_ =
-      params_.full_sweep || (sweep_env != nullptr && *sweep_env != '0');
-  sched_words_.resize((static_cast<std::size_t>(n) + 63) / 64, 0);
+  const std::size_t nwords = (static_cast<std::size_t>(n) + 63) / 64;
+  for (auto* words : {&sched_words_, &drain_words_, &inject_words_,
+                      &alloc_words_}) {
+    words->assign(nwords, 0);
+  }
   // Wire the mesh: router r's output in direction d feeds the neighbour's
   // input port opposite(d).
   for (NodeId id = 0; id < n; ++id) {
@@ -66,6 +70,7 @@ Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& param
       link.nbr_vhot = arena_.vc_hot(nbr);
       link.nbr_vflit = arena_.vc_flits(nbr);
       link.nbr_words = &arena_.words(nbr);
+      link.nbr_router = &routers_[static_cast<std::size_t>(nbr)];
     }
   }
   const char* ff_env = std::getenv("MDW_NO_FF");
@@ -135,6 +140,7 @@ void Network::inject(const WormPtr& worm) {
   }
   ++ifaces_[worm->src].inj_work;
   ifaces_[worm->src].inject_q[static_cast<int>(worm->vnet)].push_back(worm);
+  mark_work(inject_words_, worm->src);
   wake_router(worm->src);
 }
 
@@ -147,6 +153,7 @@ void Network::reinject(NodeId at, WormPtr worm) {
   }
   ++ifaces_[at].inj_work;
   ifaces_[at].inject_q[static_cast<int>(worm->vnet)].push_back(std::move(worm));
+  mark_work(inject_words_, at);
   wake_router(at);
 }
 
@@ -160,6 +167,7 @@ void Network::post_iack(NodeId at, TxnId txn, int count) {
     ++shard_ctx_[plan_.shard_of[static_cast<std::size_t>(at)]].work_posts;
   }
   ifaces_[at].pending_posts.emplace_back(txn, count);
+  mark_work(drain_words_, at);
   wake_router(at);
 }
 
@@ -193,9 +201,10 @@ void Network::try_pending_posts(NodeId n) {
 }
 
 void Network::service_injection(NodeId n, Cycle now) {
+  Router& r = routers_[static_cast<std::size_t>(n)];
+  ++r.work_.inject_visits;
   auto& iface = ifaces_[n];
   if (iface.inj_work == 0) return;  // nothing queued, nothing streaming
-  Router& r = routers_[static_cast<std::size_t>(n)];
   NodeWords& w = arena_.words(n);
   const int local = static_cast<int>(Dir::Local);
   for (int v = 0; v < params_.inj_vcs_total(); ++v) {
@@ -294,26 +303,38 @@ void Network::on_gather_deposit(NodeId at, const WormPtr& worm) {
 }
 
 template <class F>
-void Network::for_each_scheduled(int start, F&& f) {
+void Network::for_each_set(const std::vector<std::uint64_t>& words, int start,
+                           F&& f) {
   // Each word is visited once; within the current word the bitmap is
   // re-read after every callback, so bits set by mid-phase wakes at
   // positions the cursor has not passed yet are picked up (see header).
   auto scan_word = [&](int wi, std::uint64_t mask) {
     while (true) {
-      const std::uint64_t bits = sched_words_[static_cast<std::size_t>(wi)] & mask;
+      const std::uint64_t bits = words[static_cast<std::size_t>(wi)] & mask;
       if (bits == 0) return;
       const int b = std::countr_zero(bits);
       mask = b == 63 ? 0 : mask & (~0ull << (b + 1));
       f(static_cast<NodeId>((wi << 6) + b));
     }
   };
-  const int nw = static_cast<int>(sched_words_.size());
+  const int nw = static_cast<int>(words.size());
   const int w0 = start >> 6;
   const int b0 = start & 63;
   scan_word(w0, ~0ull << b0);                             // ids in [start, ...)
   for (int wi = w0 + 1; wi < nw; ++wi) scan_word(wi, ~0ull);
   for (int wi = 0; wi < w0; ++wi) scan_word(wi, ~0ull);   // wrap: ids < start
   if (b0 != 0) scan_word(w0, ~0ull >> (64 - b0));
+}
+
+template <class F, class Idle>
+void Network::sweep_marked(std::vector<std::uint64_t>& words, int start,
+                           F&& f, Idle&& idle) {
+  for_each_set(words, start, [&](NodeId id) {
+    f(id);
+    if (idle(id)) {
+      words[static_cast<std::size_t>(id) >> 6] &= ~(1ull << (id & 63));
+    }
+  });
 }
 
 bool Network::node_has_work(NodeId id) const {
@@ -402,27 +423,39 @@ bool Network::tick(Cycle now) {
     return ff_epilogue(now);
   }
 
-  // Active-region sweep: identical phase order and, within each phase, the
+  // Work-driven sweep: identical phase order and, within each phase, the
   // same (id - start) mod n visit order as the exhaustive sweep — routers
-  // with no work are simply absent.  Routers woken mid-tick are picked up
-  // at their rotating position by the bitmap rescan (see for_each_scheduled).
-  // Each phase's sweep is skipped outright when the global counter says no
-  // router anywhere holds that class of work (the sweep would be a no-op);
-  // the gates are read at phase start, so work generated by an earlier phase
-  // this cycle (e.g. a reinjection from a completed i-ack post) still runs.
+  // without that phase's work are simply absent (their visit would be a
+  // no-op).  Routers that gain work mid-tick are picked up at their
+  // rotating position by the bitmap rescan (see for_each_set).  Each
+  // phase's sweep is skipped outright when the global counter says no
+  // router anywhere holds that class of work; the gates are read at phase
+  // start, so work generated by an earlier phase this cycle (e.g. a
+  // reinjection from a completed i-ack post) still runs.
   if (cnt_.pending_posts != 0 || cnt_.cons_flits_total != 0) {
-    for_each_scheduled(start, [&](NodeId id) {
-      if (!ifaces_[id].pending_posts.empty()) try_pending_posts(id);
-      routers_[id].drain_consumption(now);
-    });
+    sweep_marked(
+        drain_words_, start,
+        [&](NodeId id) {
+          if (!ifaces_[id].pending_posts.empty()) try_pending_posts(id);
+          routers_[id].drain_consumption(now);
+        },
+        [&](NodeId id) {
+          return ifaces_[id].pending_posts.empty() &&
+                 arena_.words(id).cons_flits == 0;
+        });
   }
   if (cnt_.queued_worms != 0) {
-    for_each_scheduled(start, [&](NodeId id) { service_injection(id, now); });
+    sweep_marked(
+        inject_words_, start, [&](NodeId id) { service_injection(id, now); },
+        [&](NodeId id) { return ifaces_[id].inj_work == 0; });
   }
   if (cnt_.pending_heads_total != 0) {
-    for_each_scheduled(start, [&](NodeId id) { routers_[id].allocate(now); });
+    sweep_marked(
+        alloc_words_, start, [&](NodeId id) { routers_[id].allocate(now); },
+        [&](NodeId id) { return arena_.words(id).pending == 0; });
   }
-  for_each_scheduled(start, [&](NodeId id) { routers_[id].traverse(now); });
+  for_each_set(sched_words_, start,
+               [&](NodeId id) { routers_[id].traverse(now); });
 
   // Deschedule fully drained routers; they re-enter via wake_router.  Only
   // routers that hit a work-emptying transition this cycle (note_maybe_idle)

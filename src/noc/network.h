@@ -3,7 +3,11 @@
 //
 // The Network is a sim::Tickable: each cycle it runs the three router phases
 // over all routers (with a rotating start index so allocation arbitration is
-// fair across nodes) and services the per-node injection queues.
+// fair across nodes) and services the per-node injection queues.  The
+// sequential tick is work-driven (DESIGN.md section 9): the drain, injection
+// and allocation phases visit only the routers their work masks mark, in the
+// exhaustive sweep's order, and the routers park heads and VCs that cannot
+// move until a neighbour frees what they wait for (router.h).
 //
 // With NocParams::shards > 1 the tick runs the sharded parallel kernel
 // (DESIGN.md sections 14 and 16): the mesh is cut into row strips, each
@@ -162,7 +166,8 @@ public:
   /// sequential kernel.
   void rebalance_shards();
   /// Publish per-shard tick counters (barrier/order wait spins, routers
-  /// traversed) and the network fast-forward counters into the registry.
+  /// traversed), the network fast-forward counters and the routers' summed
+  /// tick work (net.tick.*, see TickWork) into the registry.
   void publish_shard_metrics();
   /// Spin iterations shard `s` spent inside tick barriers (shards > 1 only).
   [[nodiscard]] std::uint64_t shard_barrier_spins(int s) const {
@@ -228,6 +233,7 @@ public:
   /// executor's transfer array, folded at the end-of-tick barrier.
   void on_cons_flit(NodeId id, int delta) {
     counters().cons_flits_total += delta;
+    if (delta > 0) mark_work(drain_words_, id);
     if (gates_on_) {
       shard_ctx_[plan_.shard_of[static_cast<std::size_t>(id)]].work_cons +=
           delta;
@@ -235,6 +241,7 @@ public:
   }
   void on_pending_head(NodeId id, int delta) {
     counters().pending_heads_total += delta;
+    if (delta > 0) mark_work(alloc_words_, id);
     if (!gates_on_) return;
     const auto owner = plan_.shard_of[static_cast<std::size_t>(id)];
     if (sharded_active_ && tls_shard_->index != owner) {
@@ -300,19 +307,12 @@ public:
   void wake_router(NodeId id) { wake_router(id, arena_.words(id)); }
   void wake_router(NodeId id, NodeWords& w) {
     if (full_sweep_ || w.scheduled) return;
+    // (The scheduled flag needs no atomicity: all of a router's wakers sit
+    // within Manhattan distance 1 of it, and the traverse front order
+    // separates any two actors within distance 2 with a release/acquire
+    // progress edge.)
     w.scheduled = true;
-    if (sharded_active_) {
-      // Words straddle strip boundaries, and traverse wakes cross-shard
-      // neighbours; the bit-set must be atomic.  (The scheduled flag itself
-      // needs no atomicity: all of a router's wakers sit within Manhattan
-      // distance 1 of it, and the traverse front order separates any two
-      // actors within distance 2 with a release/acquire progress edge.)
-      const std::atomic_ref<std::uint64_t> word(
-          sched_words_[static_cast<std::size_t>(id) >> 6]);
-      word.fetch_or(1ull << (id & 63), std::memory_order_relaxed);
-    } else {
-      sched_words_[static_cast<std::size_t>(id) >> 6] |= 1ull << (id & 63);
-    }
+    mark_work(sched_words_, id);
   }
 
   /// True while the node can make progress without an external wake: flits
@@ -483,14 +483,37 @@ private:
   NetCounters cnt_;
   int rotate_ = 0;
 
-  /// Visit every scheduled router in (id - start) mod n order — the order
-  /// the exhaustive sweep uses.  The bitmap is re-read word by word, so a
-  /// router woken mid-phase at a position the cursor has not yet passed is
-  /// visited this phase (exactly when the full sweep would have reached it);
-  /// one woken behind the cursor waits for the next phase's rescan, which is
-  /// what the full sweep would have done too (it passes an empty router).
+  /// Visit every router whose bit is set in `words` (sched_words_ or a
+  /// phase work mask) in (id - start) mod n order — the order the exhaustive
+  /// sweep uses.  The bitmap is re-read word by word, so a router woken
+  /// mid-phase at a position the cursor has not yet passed is visited this
+  /// phase (exactly when the full sweep would have reached it); one woken
+  /// behind the cursor waits for the next phase's rescan, which is what the
+  /// full sweep would have done too (it passes an empty router).
   template <class F>
-  void for_each_scheduled(int start, F&& f);
+  void for_each_set(const std::vector<std::uint64_t>& words, int start, F&& f);
+  /// Phase-visit helper: visit the routers marked in `words`; clear the bit
+  /// of every visited router for which `idle(id)` holds afterwards.
+  template <class F, class Idle>
+  void sweep_marked(std::vector<std::uint64_t>& words, int start, F&& f,
+                    Idle&& idle);
+  /// Set router `id`'s bit in `words`: sched_words_ or a phase work mask
+  /// (see the masks below).  Every site that adds drain/post, injection or
+  /// allocation work marks its mask, in both kernels, so the masks stay
+  /// exact when a sharded network falls back to the sequential tick.
+  void mark_work(std::vector<std::uint64_t>& words, NodeId id) {
+    if (full_sweep_) return;
+    std::uint64_t& word = words[static_cast<std::size_t>(id) >> 6];
+    const std::uint64_t bit = 1ull << (id & 63);
+    if (sharded_active_) {
+      // Words straddle strip boundaries, and traverse marks cross-shard
+      // neighbours; the bit-set must be atomic.
+      std::atomic_ref<std::uint64_t>(word).fetch_or(bit,
+                                                    std::memory_order_relaxed);
+    } else {
+      word |= bit;
+    }
+  }
 
   // --- active-region scheduling (see DESIGN.md "Scheduling model") --------
   bool full_sweep_ = false;              // escape hatch: tick all routers
@@ -498,6 +521,16 @@ private:
   /// Replaces a sorted worklist vector — waking is a bit-set, and each tick
   /// phase streams the words in rotated order instead of sorting.
   std::vector<std::uint64_t> sched_words_;
+  /// Per-phase work masks, one bit per router, a superset of the scheduled
+  /// routers holding that phase's work: pending posts or consumption flits
+  /// (drain), queued or streaming worms (inject), pending heads (alloc).
+  /// Set by mark_work, cleared lazily by a sequential visit that leaves the
+  /// router without that work.  Traverse keeps sweeping sched_words_: every
+  /// scheduled router's visit bumps its round-robin port pointer.  Unused in
+  /// full-sweep mode and by the sharded kernel's own sweeps.
+  std::vector<std::uint64_t> drain_words_;
+  std::vector<std::uint64_t> inject_words_;
+  std::vector<std::uint64_t> alloc_words_;
   /// Routers whose work count hit zero this cycle (see note_maybe_idle);
   /// drained and cleared by the end-of-tick deschedule pass.
   std::vector<NodeId> idle_checks_;

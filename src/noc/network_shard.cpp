@@ -47,6 +47,7 @@
 #include <cassert>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "noc/network.h"
 
@@ -168,7 +169,7 @@ void Network::sweep_own(int s, int start, F&& f) {
 
 template <class F>
 void Network::shard_scan_range(int lo, int hi, F&& f) {
-  // for_each_scheduled over the non-wrapping id range [lo, hi), with atomic
+  // for_each_set over the non-wrapping id range [lo, hi), with atomic
   // word reads: bitmap words can straddle strip boundaries, and other
   // shards set their own bits concurrently (never bits inside this range —
   // phases 1-3 only wake the id being processed).  The word is re-read
@@ -475,6 +476,24 @@ void Network::rebalance_shards() {
 void Network::publish_shard_metrics() {
   metrics_->counter("net.ff_cycles").set(ff_cycles_);
   metrics_->counter("net.ff_events").set(ff_events_);
+  using Field = std::uint64_t TickWork::*;
+  static constexpr std::pair<const char*, Field> kTickWork[] = {
+      {"net.tick.drain_visits", &TickWork::drain_visits},
+      {"net.tick.inject_visits", &TickWork::inject_visits},
+      {"net.tick.alloc_visits", &TickWork::alloc_visits},
+      {"net.tick.traverse_visits", &TickWork::traverse_visits},
+      {"net.tick.alloc_attempts", &TickWork::alloc_attempts},
+      {"net.tick.grants", &TickWork::grants},
+      {"net.tick.move_attempts", &TickWork::move_attempts},
+      {"net.tick.moves", &TickWork::moves},
+      {"net.tick.head_parks", &TickWork::head_parks},
+      {"net.tick.vc_parks", &TickWork::vc_parks},
+  };
+  for (const auto& [name, field] : kTickWork) {
+    std::uint64_t sum = 0;
+    for (const Router& r : routers_) sum += r.tick_work().*field;
+    metrics_->counter(name).set(sum);
+  }
   if (plan_.shards <= 1) return;
   for (int s = 0; s < plan_.shards; ++s) {
     const ShardCtx& c = shard_ctx_[static_cast<std::size_t>(s)];

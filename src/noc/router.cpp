@@ -16,6 +16,7 @@ Router::Router(Network& net, RouterArena& arena, NodeId id, const NocParams& p)
       vc_cap_(p.vc_buffer_flits), cons_cap_(p.cons_buffer_flits),
       cons_n_(p.consumption_channels),
       vc_field_mask_((std::uint64_t{1} << vmax_) - 1),
+      work_driven_(!net.full_sweep()),
       bank_(p.iack_entries) {
   for (int port = 0; port < kNumPorts; ++port) {
     assert(num_vcs(port) <= vmax_ && "arena slot stride covers every port");
@@ -37,6 +38,7 @@ int Router::find_free_cons_channel() const {
 }
 
 void Router::drain_consumption(Cycle now) {
+  ++work_.drain_visits;
   if (words_->cons_flits == 0) return;
   for (int c = 0; c < cons_n_; ++c) {
     ConsHot& ch = chot_[c];
@@ -70,10 +72,7 @@ void Router::drain_consumption(Cycle now) {
 bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
   (void)port;
   assert(v.ring.size > 0 && vc_ring(s).front().head() && !v.routed());
-  if (now < v.ready_at) {  // router pipeline delay
-    net_.ff_gate(v.ready_at);
-    return false;
-  }
+  assert(now >= v.ready_at && "allocate applies the pipeline gate");
   const WormPtr& w = vowner_[s];
   assert(w != nullptr);
   assert(w->path[w->head_hop] == id_);
@@ -241,6 +240,15 @@ bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
     net_.ff_note_blocked();
     ++stats_.alloc_stall_cycles;
     net_.count_link_stall(id_, static_cast<Dir>(out_port));
+    // Park the head when the output VC is all it lacks: until a tail leaves
+    // the downstream port every retry fails right here.  Not an adaptive
+    // unicast (it re-picks its hop each attempt), nor a head that also
+    // needs a consumption channel (its next failure may be cons_blocked).
+    if (work_driven_ && !needs_cons && !w->adaptive) {
+      parked_heads_ |= std::uint64_t{1} << s;
+      v.out_port = static_cast<std::int8_t>(out_port);
+      ++work_.head_parks;
+    }
     return false;
   }
   if (needs_reserve &&
@@ -284,7 +292,31 @@ void Router::note_head_arrival(int port, int v) {
   }
 }
 
+void Router::wake_heads_on(int port) {
+  Router& up = *out_[port].nbr_router;
+  const int dir = static_cast<int>(opposite(static_cast<Dir>(port)));
+  for (std::uint64_t b = up.parked_heads_; b != 0; b &= b - 1) {
+    const int s = std::countr_zero(b);
+    if (up.vhot_[s].out_port == dir) {
+      up.parked_heads_ &= ~(std::uint64_t{1} << s);
+    }
+  }
+}
+
 void Router::allocate(Cycle now) {
+  ++work_.alloc_visits;
+  // A parked head's retry would fail on its output VC again (no VC at the
+  // downstream port frees before a tail leaves it, which wakes the head):
+  // count exactly what that failure counted, in place of the retry.  These
+  // counters commute, so counting them ahead of the scan is exact.
+  if (parked_heads_ != 0) {
+    for (std::uint64_t b = parked_heads_; b != 0; b &= b - 1) {
+      ++stats_.alloc_stall_cycles;
+      net_.count_link_stall(
+          id_, static_cast<Dir>(vhot_[std::countr_zero(b)].out_port));
+    }
+    net_.ff_note_blocked();
+  }
   // Ascending bit scan of the pending word, port-major: exactly the VCs the
   // exhaustive (port-major, then VC-index) scan would have tried, in the
   // same order (the bit layout mirrors the old sorted (port << 8) | vc list).
@@ -293,7 +325,7 @@ void Router::allocate(Cycle now) {
   // ports loop the moment its remaining bits run out — the common cases
   // (no pending heads, or one on an early port) cost a word test, matching
   // the old empty-vector early-out.
-  std::uint64_t snap = words_->pending;
+  std::uint64_t snap = words_->pending & ~parked_heads_;
   for (int port = 0; snap != 0; ++port, snap >>= vmax_) {
     std::uint64_t sub = snap & vc_field_mask_;
     while (sub != 0) {
@@ -307,15 +339,21 @@ void Router::allocate(Cycle now) {
         net_.ff_gate(arrival + 1);
         continue;
       }
+      if (now < v.ready_at) {  // router pipeline delay
+        net_.ff_gate(v.ready_at);
+        continue;
+      }
+      ++work_.alloc_attempts;
       if (try_allocate_head(port, s, v, now)) {
+        ++work_.grants;
         net_.ff_note_acted();
         words_->routed |= std::uint64_t{1} << s;
         words_->ports_mask |= static_cast<std::uint8_t>(1u << port);
         words_->pending &= ~(std::uint64_t{1} << s);
         net_.on_pending_head(id_, -1);
       }
-      // else: blocked on a resource or the pipeline gate, retry next cycle
-      // (the pending bit stays set).
+      // else: blocked on a resource, retry next cycle (the pending bit
+      // stays set).
     }
   }
 }
@@ -356,7 +394,16 @@ bool Router::try_move_flit(int port, int vidx, VcHot& v, Cycle now) {
     const int ds = link.nbr_port * vmax_ + v.out_vc;
     VcHot& dvc = link.nbr_vhot[ds];
     RingView dring(link.nbr_vflit + ds * vc_cap_, &dvc.ring, vc_cap_);
-    if (dring.full()) return false;
+    if (dring.full()) {
+      // Park: nothing but a pop at the downstream VC can let this VC move,
+      // and the failed attempt has no side effects to replay.
+      if (work_driven_) {
+        parked_vcs_ |= std::uint64_t{1} << s;
+        dvc.waiter = static_cast<std::uint8_t>(s + 1);
+        ++work_.vc_parks;
+      }
+      return false;
+    }
     if ((v.flags & kVcDeliverHere) != 0 && cons_ring(v.cons_ch).full())
       return false;
     used = now;
@@ -389,8 +436,14 @@ bool Router::try_move_flit(int port, int vidx, VcHot& v, Cycle now) {
     }
   }
 
+  if (v.waiter != 0) {  // a slot freed: wake the upstream VC parked on it
+    out_[port].nbr_router->parked_vcs_ &=
+        ~(std::uint64_t{1} << (v.waiter - 1));
+    v.waiter = 0;
+  }
   if (f.tail()) {
     // Worm tail has left this VC: release it.
+    if (port != static_cast<int>(Dir::Local)) wake_heads_on(port);
     vowner_[s] = nullptr;
     v.flags = 0;
     v.claimed = 0;
@@ -406,9 +459,10 @@ bool Router::try_move_flit(int port, int vidx, VcHot& v, Cycle now) {
 }
 
 void Router::traverse(Cycle now) {
+  ++work_.traverse_visits;
   NodeWords& w = *words_;
   if (w.active_work == 0) return;
-  if (w.ports_mask == 0) {  // flits present but none routed: no-op sweep
+  if ((w.routed & ~parked_vcs_) == 0) {  // nothing routed can move: no-op
     w.rr_port = w.rr_port + 1 == kNumPorts ? 0 : w.rr_port + 1;
     return;
   }
@@ -426,9 +480,10 @@ void Router::traverse(Cycle now) {
     prot &= prot - 1;
     int port = pr + poff;
     if (port >= kNumPorts) port -= kNumPorts;
-    const auto mask =
-        static_cast<std::uint32_t>((w.routed >> (port * vmax_)) & vc_field_mask_);
-    if (mask == 0) continue;  // tail left during this sweep
+    // Parked VCs would fail without side effects: leave them out.
+    const auto mask = static_cast<std::uint32_t>(
+        ((w.routed & ~parked_vcs_) >> (port * vmax_)) & vc_field_mask_);
+    if (mask == 0) continue;  // tail left during this sweep, or all parked
     const int nv = num_vcs(port);
     const int base = w.rr_vc[port];
     // Only routed VCs can move a flit; visiting their mask bits rotated by
@@ -442,7 +497,9 @@ void Router::traverse(Cycle now) {
       int vidx = base + off;
       if (vidx >= nv) vidx -= nv;
       VcHot& v = vhot_[slot(port, vidx)];
+      ++work_.move_attempts;
       if (try_move_flit(port, vidx, v, now)) {
+        ++work_.moves;
         w.rr_vc[port] = static_cast<std::uint8_t>(vidx + 1 == nv ? 0 : vidx + 1);
         break;  // one flit per input port per cycle
       }

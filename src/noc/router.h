@@ -18,6 +18,14 @@
 // Flits become visible to the next pipeline stage one cycle after they move
 // (arrival-cycle gating), so a flit advances at most one hop per cycle.
 //
+// Parking (DESIGN.md section 9): a head whose only missing resource is an
+// output VC, and a routed VC whose downstream VC is full, would fail the
+// same way every cycle until a neighbour frees that resource.  Both are
+// parked — allocate and traverse skip them — and the neighbour wakes them:
+// a tail leaving its input port wakes the heads waiting on that port, a pop
+// from a downstream VC wakes the VC waiting on it.  A parked head's stall
+// counters still advance on each allocate visit, exactly as the retry did.
+//
 // Router is a thin VIEW: all hot state (VC records, flit rings, consumption
 // channels, the per-node scheduling/arbitration words) lives in the
 // Network-owned RouterArena (arena.h), reached through span pointers set at
@@ -89,6 +97,22 @@ struct RouterStats {
   std::uint64_t bank_blocked_cycles = 0;  // reserve/pickup blocked on bank
 };
 
+/// Host work the tick spent at one router (published as net.tick.*).  These
+/// count simulator effort, not simulated events: they differ between the
+/// kernels and scheduling modes, so no fingerprint includes them.
+struct TickWork {
+  std::uint64_t drain_visits = 0;     // phase-1 visits (posts + drain)
+  std::uint64_t inject_visits = 0;    // phase-2 visits
+  std::uint64_t alloc_visits = 0;     // phase-3 visits
+  std::uint64_t traverse_visits = 0;  // phase-4 visits
+  std::uint64_t alloc_attempts = 0;   // try_allocate_head calls
+  std::uint64_t grants = 0;           // ... that succeeded
+  std::uint64_t move_attempts = 0;    // try_move_flit calls
+  std::uint64_t moves = 0;            // ... that moved a flit
+  std::uint64_t head_parks = 0;       // heads parked on an output VC
+  std::uint64_t vc_parks = 0;         // VCs parked behind a full VC
+};
+
 class Network;
 
 class Router {
@@ -101,6 +125,7 @@ public:
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] IAckBufferBank& bank() { return bank_; }
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
+  [[nodiscard]] const TickWork& tick_work() const { return work_; }
 
   /// Phase 1: drain consumption channels (<=1 flit per channel per cycle).
   void drain_consumption(Cycle now);
@@ -127,6 +152,7 @@ private:
     VcHot* nbr_vhot = nullptr;
     Flit* nbr_vflit = nullptr;
     NodeWords* nbr_words = nullptr;
+    Router* nbr_router = nullptr;  // its parking state (wakes)
   };
 
   [[nodiscard]] int slot(int port, int v) const { return port * vmax_ + v; }
@@ -158,6 +184,10 @@ private:
   /// by setting its pending-word bit (bit order == the old sorted list).
   void note_head_arrival(int port, int v);
 
+  /// A tail left input port `port`, so one of its VCs is free: wake the
+  /// upstream neighbour's heads parked on the link into that port.
+  void wake_heads_on(int port);
+
   Network& net_;
   RouterArena* arena_;
   const NocParams* params_;
@@ -175,9 +205,18 @@ private:
   int cons_cap_;
   int cons_n_;
   std::uint64_t vc_field_mask_;  // low vmax_ bits: one port's slot field
+  /// Parking state (see the header comment).  Bit s = slot s.  Written by
+  /// this router, and by a link neighbour's traverse (wakes) — in the
+  /// sharded kernel the traverse front order serializes every such pair.
+  std::uint64_t parked_heads_ = 0;  // pending heads allocate skips
+  std::uint64_t parked_vcs_ = 0;    // routed VCs traverse skips
+  /// Park blocked heads and VCs.  False in full-sweep (reference) mode,
+  /// which retries every head and VC.
+  bool work_driven_;
   std::array<OutLink, kNumLinkDirs> out_;
-  IAckBufferBank bank_;
   RouterStats stats_;
+  TickWork work_;
+  IAckBufferBank bank_;
 };
 
 } // namespace mdw::noc

@@ -27,12 +27,16 @@ Cycle Engine::next_activity() const {
 }
 
 bool Engine::run_until(const std::function<bool()>& pred, Cycle max_cycles) {
+  drained_ = false;
   const Cycle deadline = now_ + max_cycles;
   while (now_ < deadline) {
     if (pred()) return true;
     if (!step()) {
       // Quiescent network: jump to the next event or wake request, if any.
-      if (idle_drained()) return pred();
+      if (idle_drained()) {
+        drained_ = !pred();
+        return !drained_;
+      }
       if (const Cycle next = next_activity(); next > now_) now_ = next;
     }
   }

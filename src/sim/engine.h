@@ -93,8 +93,13 @@ public:
   static void set_stage_buffer(StageBuffer* buf) { stage_ = buf; }
 
   /// Run until `pred` returns true, the queue drains with all components
-  /// idle, or `max_cycles` elapse.  Returns true iff `pred` was satisfied.
+  /// idle, or `max_cycles` elapse.  Returns true iff `pred` was satisfied;
+  /// drained() then tells the two failures apart.
   bool run_until(const std::function<bool()>& pred, Cycle max_cycles);
+  /// Whether the last run_until stopped because nothing was left to run
+  /// (empty queue, no wake request, every component idle) with `pred` still
+  /// false — a hang — rather than satisfied or out of cycle budget.
+  [[nodiscard]] bool drained() const { return drained_; }
 
   /// Run until quiescent (no events, no wake request, all components idle)
   /// or `max_cycles`.  Returns true iff the simulation quiesced.
@@ -127,6 +132,7 @@ private:
   obs::TraceWriter* tracer_ = nullptr;
   bool wake_pending_ = false;
   Cycle wake_at_ = 0;
+  bool drained_ = false;  // see drained()
   static thread_local StageBuffer* stage_;
 };
 

@@ -297,9 +297,8 @@ int main(int argc, char** argv) {
   const workload::StreamResult r = runner.run();
 
   if (!r.completed) {
-    std::fprintf(stderr,
-                 "run exhausted the %" PRIu64 "-cycle budget: %s\n",
-                 static_cast<std::uint64_t>(opt.run.max_cycles),
+    std::fprintf(stderr, "%s: %s\n",
+                 r.describe_stop(opt.run.max_cycles).c_str(),
                  r.describe_stalls().c_str());
     return 1;
   }

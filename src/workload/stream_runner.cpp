@@ -39,6 +39,15 @@ StreamRunner::~StreamRunner() {
   if (observer_attached_) m_.set_txn_observer(nullptr);
 }
 
+std::string StreamResult::describe_stop(Cycle max_cycles) const {
+  if (drained) {
+    return "event queue drained at cycle " + std::to_string(stop_cycle) +
+           " with " + std::to_string(accesses_in_flight) +
+           " accesses in flight";
+  }
+  return "run exhausted the " + std::to_string(max_cycles) + "-cycle budget";
+}
+
 StreamResult StreamRunner::run() {
   if (opt_.windowed) {
     // Window invalidation latencies as transactions complete; pre-warmup
@@ -67,6 +76,9 @@ StreamResult StreamRunner::run() {
   const Cycle t0 = m_.engine().now();
   r.completed = m_.engine().run_until([&] { return done_procs_ == n; },
                                       opt_.max_cycles);
+  r.drained = m_.engine().drained();
+  r.stop_cycle = m_.engine().now();
+  r.accesses_in_flight = accesses_ - completed_accesses_;
   if (!r.completed) {
     // Snapshot the diagnosis state NOW: the quiescence drain below retires
     // in-flight accesses and empties the home queues, which would make a

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dsm/machine.h"
@@ -53,6 +54,12 @@ struct StreamRunnerOptions {
 /// RunResult plus the steady-state view.  Throughputs are normalized per
 /// 1000 simulated cycles ("kcycle") so they are mesh- and length-comparable.
 struct StreamResult : RunResult {
+  /// Why an incomplete run stopped: the event queue drained with accesses
+  /// still in flight (nothing left to run: a hang), rather than the cycle
+  /// budget running out.  Always false for a completed run.
+  bool drained = false;
+  Cycle stop_cycle = 0;             // engine time when the run stopped
+  std::uint64_t accesses_in_flight = 0;  // issued, not completed, at the stop
   Cycle warmup_end = 0;      // first steady-state cycle (0: warmup never completed)
   Cycle steady_cycles = 0;   // cycles spent in steady state
   std::uint64_t steady_accesses = 0;
@@ -64,6 +71,11 @@ struct StreamResult : RunResult {
   double lat_p90 = 0;
   double lat_p99 = 0;
   std::vector<obs::WindowRow> windows;    // per-window breakdown
+
+  /// Why an incomplete run stopped, for the CLIs' error line: "event queue
+  /// drained at cycle N with M accesses in flight", or "run exhausted the
+  /// <max_cycles>-cycle budget".
+  [[nodiscard]] std::string describe_stop(Cycle max_cycles) const;
 };
 
 class StreamRunner {

@@ -9,17 +9,38 @@
 //      NocParams::full_sweep / MDW_FULL_SWEEP escape hatch) are
 //      bit-identical — same latencies, flit-hops, and occupancy for every
 //      scheme, both for isolated transactions and under concurrency.
+//
+// Every fingerprint also carries the routers' stall counters: the work-driven
+// tick skips allocation and traversal retries that cannot succeed and counts
+// their stalls without re-running them, so these counters are where a wrong
+// park or a missed wake would show.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "svc/service.h"
+#include "workload/generators.h"
+#include "workload/stream_runner.h"
 
 namespace mdw {
 namespace {
+
+/// Router stall counters summed over the mesh, plus the link heatmap's stall
+/// total.  perfbench's fingerprint leaves these out.
+struct StallCounts {
+  std::uint64_t alloc_stall_cycles = 0;
+  std::uint64_t cons_blocked_cycles = 0;
+  std::uint64_t bank_blocked_cycles = 0;
+  std::uint64_t flits_forwarded = 0;
+  std::uint64_t heatmap_stalls = 0;
+
+  bool operator==(const StallCounts&) const = default;
+};
 
 /// Exact-count fingerprint of one small protocol workload.
 struct Fingerprint {
@@ -33,9 +54,49 @@ struct Fingerprint {
   double inval_latency_sum = 0;
   std::uint64_t occupancy = 0;
   Cycle end_cycle = 0;
+  StallCounts stalls;
 
   bool operator==(const Fingerprint&) const = default;
 };
+
+std::ostream& operator<<(std::ostream& os, const Fingerprint& f) {
+  return os << "{" << f.worms_injected << ", " << f.worms_delivered << ", "
+            << f.absorb_deliveries << ", " << f.link_flit_hops << ", "
+            << f.gather_deferred << ", " << f.gather_deposits << ", "
+            << f.inval_txns << ", " << f.inval_latency_sum << ", "
+            << f.occupancy << ", " << f.end_cycle << ", {"
+            << f.stalls.alloc_stall_cycles << ", "
+            << f.stalls.cons_blocked_cycles << ", "
+            << f.stalls.bank_blocked_cycles << ", "
+            << f.stalls.flits_forwarded << ", " << f.stalls.heatmap_stalls
+            << "}}";
+}
+
+/// Fingerprint of `m` at quiescence; also checks coherence.
+Fingerprint fingerprint_of(dsm::Machine& m) {
+  Fingerprint fp;
+  const noc::NetworkStats& ns = m.network().stats();
+  fp.worms_injected = ns.worms_injected;
+  fp.worms_delivered = ns.worms_delivered;
+  fp.absorb_deliveries = ns.absorb_deliveries;
+  fp.link_flit_hops = ns.link_flit_hops;
+  fp.gather_deferred = ns.gather_deferred;
+  fp.gather_deposits = ns.gather_deposits;
+  fp.inval_txns = m.stats().inval_txns;
+  fp.inval_latency_sum = m.stats().inval_latency.sum();
+  fp.occupancy = m.total_occupancy();
+  fp.end_cycle = m.engine().now();
+  for (NodeId id = 0; id < m.num_nodes(); ++id) {
+    const noc::RouterStats& rs = m.network().router(id).stats();
+    fp.stalls.alloc_stall_cycles += rs.alloc_stall_cycles;
+    fp.stalls.cons_blocked_cycles += rs.cons_blocked_cycles;
+    fp.stalls.bank_blocked_cycles += rs.bank_blocked_cycles;
+    fp.stalls.flits_forwarded += rs.flits_forwarded;
+  }
+  fp.stalls.heatmap_stalls = m.network().heatmap().total_stalls();
+  EXPECT_EQ(m.check_coherence(), "");
+  return fp;
+}
 
 Fingerprint run_workload(core::Scheme scheme, bool full_sweep,
                          std::uint64_t seed, int shards = 1,
@@ -77,20 +138,7 @@ Fingerprint run_workload(core::Scheme scheme, bool full_sweep,
     EXPECT_TRUE(m.engine().run_to_quiescence(1'000'000));
   }
 
-  Fingerprint fp;
-  const noc::NetworkStats& ns = m.network().stats();
-  fp.worms_injected = ns.worms_injected;
-  fp.worms_delivered = ns.worms_delivered;
-  fp.absorb_deliveries = ns.absorb_deliveries;
-  fp.link_flit_hops = ns.link_flit_hops;
-  fp.gather_deferred = ns.gather_deferred;
-  fp.gather_deposits = ns.gather_deposits;
-  fp.inval_txns = m.stats().inval_txns;
-  fp.inval_latency_sum = m.stats().inval_latency.sum();
-  fp.occupancy = m.total_occupancy();
-  fp.end_cycle = m.engine().now();
-  EXPECT_EQ(m.check_coherence(), "");
-  return fp;
+  return fingerprint_of(m);
 }
 
 /// The same workload as run_workload, but driven through the coherence
@@ -139,20 +187,7 @@ Fingerprint run_svc_workload(core::Scheme scheme, std::uint64_t seed) {
     EXPECT_TRUE(m.engine().run_to_quiescence(1'000'000));
   }
 
-  Fingerprint fp;
-  const noc::NetworkStats& ns = m.network().stats();
-  fp.worms_injected = ns.worms_injected;
-  fp.worms_delivered = ns.worms_delivered;
-  fp.absorb_deliveries = ns.absorb_deliveries;
-  fp.link_flit_hops = ns.link_flit_hops;
-  fp.gather_deferred = ns.gather_deferred;
-  fp.gather_deposits = ns.gather_deposits;
-  fp.inval_txns = m.stats().inval_txns;
-  fp.inval_latency_sum = m.stats().inval_latency.sum();
-  fp.occupancy = m.total_occupancy();
-  fp.end_cycle = m.engine().now();
-  EXPECT_EQ(m.check_coherence(), "");
-  return fp;
+  return fingerprint_of(m);
 }
 
 constexpr core::Scheme kSchemes[] = {
@@ -180,9 +215,12 @@ TEST(Determinism, PooledHotPathMatchesPrePoolGoldens) {
     core::Scheme scheme;
     Fingerprint golden;
   } pins[] = {
-      {core::Scheme::UiUa, {104, 104, 0, 9600, 0, 0, 4, 880, 3016, 6040}},
-      {core::Scheme::EcCmHg, {90, 80, 7, 9140, 1, 10, 4, 764, 2542, 5924}},
-      {core::Scheme::WfScSg, {66, 66, 20, 9559, 0, 0, 4, 883, 2236, 6043}},
+      {core::Scheme::UiUa, {104, 104, 0, 9600, 0, 0, 4, 880, 3016, 6040,
+                            {9, 0, 0, 9600, 9}}},
+      {core::Scheme::EcCmHg, {90, 80, 7, 9140, 1, 10, 4, 764, 2542, 5924,
+                              {0, 0, 0, 9140, 0}}},
+      {core::Scheme::WfScSg, {66, 66, 20, 9559, 0, 0, 4, 883, 2236, 6043,
+                              {0, 0, 0, 9559, 0}}},
   };
   for (const auto& pin : pins) {
     const Fingerprint got = run_workload(pin.scheme, /*full_sweep=*/true, 42);
@@ -248,9 +286,12 @@ TEST(Determinism, SoAArenaGoldensAcrossKernelConfigs) {
     core::Scheme scheme;
     Fingerprint golden;
   } pins[] = {
-      {core::Scheme::UiUa, {104, 104, 0, 9600, 0, 0, 4, 880, 3016, 6040}},
-      {core::Scheme::EcCmHg, {90, 80, 7, 9140, 1, 10, 4, 764, 2542, 5924}},
-      {core::Scheme::WfScSg, {66, 66, 20, 9559, 0, 0, 4, 883, 2236, 6043}},
+      {core::Scheme::UiUa, {104, 104, 0, 9600, 0, 0, 4, 880, 3016, 6040,
+                            {9, 0, 0, 9600, 9}}},
+      {core::Scheme::EcCmHg, {90, 80, 7, 9140, 1, 10, 4, 764, 2542, 5924,
+                              {0, 0, 0, 9140, 0}}},
+      {core::Scheme::WfScSg, {66, 66, 20, 9559, 0, 0, 4, 883, 2236, 6043,
+                              {0, 0, 0, 9559, 0}}},
   };
   for (const auto& pin : pins) {
     for (int shards : {1, 2, 4, 8}) {
@@ -287,6 +328,103 @@ TEST(Determinism, FastForwardInvariance) {
           << "scheme " << core::scheme_name(s) << " shards=" << shards;
     }
     EXPECT_GT(ff_on.inval_txns, 0u);
+  }
+}
+
+struct ContendedCase {
+  core::Scheme scheme;
+  bool adaptive_unicast;
+};
+
+/// A short contended stream: write-heavy zipfian accesses from 16-node
+/// groups on 8x8 with 4 outstanding per node through svc sessions, 2-flit
+/// VC buffers, two 1-flit consumption channels and one i-ack entry per
+/// router, so heads wait on output VCs, consumption channels and i-ack
+/// banks, flits wait behind full VCs, and an absorbing head can fail on its
+/// consumption channel one cycle and on its output VC the next.
+/// The block pool fits the cache (one block per line), which keeps a node
+/// from evicting and re-requesting a block with its Writeback in flight.
+Fingerprint run_contended(const ContendedCase& c, bool full_sweep, int shards,
+                          noc::TickWork* work = nullptr) {
+  dsm::SystemParams p;
+  p.mesh_w = p.mesh_h = 8;
+  p.scheme = c.scheme;
+  p.adaptive_unicast = c.adaptive_unicast;
+  p.cache_lines = 64;
+  p.noc.vc_buffer_flits = 2;
+  p.noc.consumption_channels = 2;
+  p.noc.cons_buffer_flits = 1;
+  p.noc.iack_entries = 1;
+  p.noc.full_sweep = full_sweep;
+  p.noc.shards = shards;
+  dsm::Machine m(p);
+  workload::GenConfig g;
+  g.kind = workload::GenKind::Zipfian;
+  g.nprocs = m.num_nodes();
+  g.nblocks = 64;
+  g.write_fraction = 0.6;
+  g.group = 16;
+  g.ops_per_proc = 20;
+  g.seed = 17;
+  const auto src = workload::make_generator(g, m.network().mesh());
+  workload::StreamRunnerOptions opt;
+  opt.use_service = true;
+  opt.outstanding = 4;
+  workload::StreamRunner runner(m, *src, opt);
+  const workload::StreamResult r = runner.run();
+  EXPECT_TRUE(r.completed) << r.describe_stalls();
+  if (work != nullptr) {
+    for (NodeId id = 0; id < m.num_nodes(); ++id) {
+      const noc::TickWork& t = m.network().router(id).tick_work();
+      work->head_parks += t.head_parks;
+      work->vc_parks += t.vc_parks;
+    }
+  }
+  return fingerprint_of(m);
+}
+
+TEST(Determinism, ContendedStallCountersAcrossKernels) {
+  // Parking skips retries whose only effect is a stall counter, so the
+  // counters must come out exactly as when every retry runs: in the default
+  // mode, in the exhaustive full sweep (which never parks), and in the
+  // sharded kernel, where a tail or pop at one router wakes a head or VC
+  // parked at its neighbour across a strip seam.  The pins were captured
+  // before parking existed.
+  const struct {
+    ContendedCase c;
+    Fingerprint golden;
+  } pins[] = {
+      {{core::Scheme::UiUa, false},
+       {4776, 4776, 0, 591664, 0, 0, 243, 46252, 151428, 31257,
+        {33007, 4899, 0, 591664, 28108}}},
+      {{core::Scheme::EcCmHg, false},
+       {4604, 4448, 62, 579400, 36, 156, 245, 47345, 144606, 30566,
+        {35906, 4743, 716, 579400, 30447}}},
+      {{core::Scheme::WfScSg, true},
+       {4295, 4295, 305, 591119, 3, 0, 250, 53344, 142458, 37021,
+        {117318, 927, 416, 591119, 115975}}},
+  };
+  for (const auto& pin : pins) {
+    const std::string_view name = core::scheme_name(pin.c.scheme);
+    noc::TickWork work;
+    EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/false, 1, &work), pin.golden)
+        << name;
+    EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/true, 1), pin.golden)
+        << name << " (full sweep)";
+    for (int shards : {2, 4}) {
+      EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/false, shards), pin.golden)
+          << name << " shards=" << shards;
+    }
+    // Every stall kind occurs (i-ack banks only exist under gathers), and
+    // the default mode both parks heads and parks VCs.
+    EXPECT_GT(pin.golden.stalls.alloc_stall_cycles, 0u) << name;
+    EXPECT_GT(pin.golden.stalls.cons_blocked_cycles, 0u) << name;
+    EXPECT_GT(pin.golden.stalls.heatmap_stalls, 0u) << name;
+    if (pin.c.scheme != core::Scheme::UiUa) {
+      EXPECT_GT(pin.golden.stalls.bank_blocked_cycles, 0u) << name;
+    }
+    EXPECT_GT(work.head_parks, 0u) << name;
+    EXPECT_GT(work.vc_parks, 0u) << name;
   }
 }
 
@@ -341,20 +479,7 @@ Fingerprint run_repeat_workload(core::Scheme scheme, bool caches,
     EXPECT_EQ(m.network().route_cache().stats().hits, 0u);
   }
 
-  Fingerprint fp;
-  const noc::NetworkStats& ns = m.network().stats();
-  fp.worms_injected = ns.worms_injected;
-  fp.worms_delivered = ns.worms_delivered;
-  fp.absorb_deliveries = ns.absorb_deliveries;
-  fp.link_flit_hops = ns.link_flit_hops;
-  fp.gather_deferred = ns.gather_deferred;
-  fp.gather_deposits = ns.gather_deposits;
-  fp.inval_txns = m.stats().inval_txns;
-  fp.inval_latency_sum = m.stats().inval_latency.sum();
-  fp.occupancy = m.total_occupancy();
-  fp.end_cycle = m.engine().now();
-  EXPECT_EQ(m.check_coherence(), "");
-  return fp;
+  return fingerprint_of(m);
 }
 
 TEST(Determinism, MemoizationCachesDoNotChangeBehaviour) {

@@ -115,6 +115,30 @@ TEST(Engine, TickablesRunWhileActive) {
   EXPECT_GE(t.ticks, 10);
 }
 
+TEST(Engine, RunUntilTellsDrainedFromOutOfBudget) {
+  // Drained: the last event fires at cycle 40 and the predicate never
+  // holds, so the run stops right after it with most of its budget left.
+  Engine e;
+  e.schedule_at(40, [] {});
+  EXPECT_FALSE(e.run_until([] { return false; }, 1'000));
+  EXPECT_TRUE(e.drained());
+  EXPECT_LT(e.now(), 50u);
+
+  // Out of budget: a busy component keeps the engine stepping until the
+  // budget runs out, which is not a drain.
+  CountingTicker t;
+  t.active_for = 1'000'000;
+  e.register_tickable(&t);
+  const Cycle start = e.now();
+  EXPECT_FALSE(e.run_until([] { return false; }, 100));
+  EXPECT_FALSE(e.drained());
+  EXPECT_EQ(e.now(), start + 100);
+
+  // A satisfied predicate is not a drain either.
+  EXPECT_TRUE(e.run_until([] { return true; }, 100));
+  EXPECT_FALSE(e.drained());
+}
+
 TEST(Engine, EventScheduledAtCurrentCycleFiresBeforeJump) {
   // An event due at exactly now() must run in the current cycle, not be
   // skipped over by the idle fast-forward to a later event.
