@@ -27,24 +27,17 @@
 //
 // Usage:
 //   bench_simspeed [--label=<s>] [--metrics-json=<path>] [--repeat=<n>]
-//                  [--shards=<n>] [gbench flags]
+//                  [gbench flags]
 //
 // --repeat=N (default 1) runs every scenario N times and reports the median
 // of each rate counter, which is what lands in --metrics-json; use it on
 // noisy boxes where one run can catch a scheduling hiccup.
 //
-// --shards=N runs every scenario on the sharded parallel cycle kernel
-// (DESIGN.md sections 14 and 16; bit-identical results, so the simulated
-// cycle and hop counts match the sequential kernel exactly — only wall time
-// changes).  An explicit flag beats the MDW_SHARDS environment variable;
-// with neither, the sequential kernel runs (resolve_shards precedence).
-//
-// --metrics-json= writes one trajectory point: {"label", "mode", "shards",
-// "cpus", "results": [{name, sim_cycles_per_sec, flit_hops_per_sec}]}.
-// Points are accumulated by hand in BENCH_simspeed.json (see README
-// "Simulator throughput"); check_simspeed.py compares same-shards points for
-// regressions and same-label shards=1 vs shards=N pairs for parallel
-// efficiency (the latter only when "cpus" shows real hardware parallelism).
+// --metrics-json= writes one trajectory point: {"label", "mode", "cpus",
+// "results": [{name, sim_cycles_per_sec, flit_hops_per_sec}]}.  Points are
+// accumulated by hand in BENCH_simspeed.json (see README "Simulator
+// throughput"); check_simspeed.py compares the newest point against the
+// earlier ones for regressions.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -54,7 +47,6 @@
 #include <vector>
 
 #include "dsm/machine.h"
-#include "noc/shard_plan.h"
 #include "noc/worm_builder.h"
 #include "sim/rng.h"
 #include "workload/generators.h"
@@ -64,10 +56,6 @@
 using namespace mdw;
 
 namespace {
-
-/// Cycle-kernel shard count applied to every scenario (--shards=N); 0 means
-/// unset, deferring to MDW_SHARDS and then the sequential kernel.
-int g_shards = 0;
 
 /// Prime `sharers` on block `a` so the next write triggers one invalidation
 /// transaction of degree d.  Mirrors analysis::measure_invalidations.
@@ -83,7 +71,6 @@ void prime(dsm::Machine& m, BlockAddr a, const std::vector<NodeId>& sharers) {
 void BM_SingleTxn(benchmark::State& state, int mesh_k, core::Scheme scheme) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = mesh_k;
-  p.noc.shards = g_shards;
   p.scheme = scheme;
   dsm::Machine m(p);
   sim::Rng rng(7);
@@ -121,10 +108,8 @@ void BM_Burst(benchmark::State& state, int mesh_k) {
   sim::Engine eng;
   const noc::MeshShape mesh(mesh_k, mesh_k);
   noc::NocParams np;
-  np.shards = g_shards;
   noc::Network net(eng, mesh, np);
   net.set_delivery_handler([](NodeId, const noc::WormPtr&) {});
-  net.set_parallel_replay(true);  // empty handler: trivially thread-safe
   sim::Rng rng(11);
   const int n = mesh.num_nodes();
   TxnId txn = 0;
@@ -161,7 +146,6 @@ void BM_Burst(benchmark::State& state, int mesh_k) {
 void BM_Gather(benchmark::State& state, int mesh_k) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = mesh_k;
-  p.noc.shards = g_shards;
   p.scheme = core::Scheme::EcCmHg;
   dsm::Machine m(p);
   sim::Rng rng(13);
@@ -204,7 +188,6 @@ void BM_Gather(benchmark::State& state, int mesh_k) {
 void BM_TxnSetup(benchmark::State& state, int mesh_k) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = mesh_k;
-  p.noc.shards = g_shards;
   p.scheme = core::Scheme::EcCmHg;
   dsm::Machine m(p);
   sim::Rng rng(17);
@@ -269,7 +252,6 @@ void BM_TxnSetup(benchmark::State& state, int mesh_k) {
 void BM_Stream(benchmark::State& state, int mesh_k) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = mesh_k;
-  p.noc.shards = g_shards;
   p.scheme = core::Scheme::EcCmHg;
   dsm::Machine m(p);
   workload::GenConfig cfg;
@@ -310,7 +292,6 @@ void BM_Stream(benchmark::State& state, int mesh_k) {
 void BM_Svc(benchmark::State& state, int mesh_k) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = mesh_k;
-  p.noc.shards = g_shards;
   p.scheme = core::Scheme::EcCmHg;
   p.svc.pipeline_depth = 8;
   p.svc.coalesce_window = 32;
@@ -393,13 +374,7 @@ bool write_point_json(const std::string& path, const std::string& label,
   std::fprintf(f, "{\n  \"schema\": \"mdw.bench_simspeed.v1\",\n");
   std::fprintf(f, "  \"label\": \"%s\",\n  \"mode\": \"%s\",\n", label.c_str(),
                mode);
-  // shards/cpus let check_simspeed.py pair shards=1 vs shards=N points and
-  // skip the parallel-efficiency gate on hosts with no real parallelism.
-  // The shard count recorded is the RESOLVED one (flag, else MDW_SHARDS,
-  // else 1), never the unset sentinel.
-  std::fprintf(f, "  \"shards\": %d,\n  \"cpus\": %u,\n",
-               noc::resolve_shards(g_shards),
-               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
@@ -429,12 +404,6 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--repeat=", 0) == 0) {
       repeat = std::atoi(a.c_str() + 9);
       if (repeat < 1) repeat = 1;
-    } else if (a.rfind("--shards=", 0) == 0) {
-      g_shards = std::atoi(a.c_str() + 9);
-      if (g_shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 1;
-      }
     } else {
       args.push_back(argv[i]);
     }

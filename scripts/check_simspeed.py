@@ -1,34 +1,17 @@
 #!/usr/bin/env python3
-"""Guard against simulator-throughput regressions; report parallel efficiency.
+"""Guard against simulator-throughput regressions.
 
 Regression gate: compares the newest point of the BENCH_simspeed.json
 trajectory against a baseline point on the scenarios they share: if any
 scenario's sim_cycles_per_sec dropped by more than the tolerance (default
-10%), exit non-zero.  The baseline is the newest earlier point with the SAME
-shard count (points written before the sharded kernel carry an implicit
-"shards": 1), or the newest such point carrying --baseline=<label> when
-given.  Comparing only like-for-like shard counts keeps the gate meaningful:
-a shards=4 point on a single-CPU box is slower than shards=1 by design, not
-by regression.  Scenarios present in only one of the two compared points get
-a warning on stderr; new scenarios cannot regress, but scenarios dropped
-from the newest point fail the check (a silently deleted benchmark would
-otherwise hide a regression).
-
-Parallel-efficiency check: whenever the newest point's label also appears on
-a point with a different shard count, the newest shards=1 and shards=N
-points under that label are paired per scenario and the speedup
-(parallel/sequential) and efficiency (speedup / effective workers, where
-effective workers = min(shards, cpus)) are printed.  Scenarios on 32x32 or
-larger meshes with efficiency below 50% draw a warning on stderr.  On hosts
-whose recorded "cpus" is below 2 there is no hardware parallelism to
-measure, so the efficiency check is skipped with a note instead of emitting
-meaningless warnings.
-
-Hard efficiency gate: --efficiency-min=P (off by default) turns the
-efficiency check into a pass/fail gate — any 32x32+ scenario whose parallel
-efficiency falls below P fails the run.  The cpus<2 skip path applies to the
-gate too: a host with no hardware parallelism cannot measure efficiency, so
-the gate is skipped there with a note rather than failing spuriously.
+10%), exit non-zero.  The baseline is the newest earlier sequential-kernel
+point, or the newest such point carrying --baseline=<label> when given.  A
+sequential point is one with "shards": 1 or no "shards" field: the
+trajectory keeps historical points of a since-removed multi-threaded
+kernel (shards > 1), which are never a baseline.  Scenarios present in only
+one of the two compared points get a warning on stderr; new scenarios
+cannot regress, but scenarios dropped from the newest point fail the check
+(a silently deleted benchmark would otherwise hide a regression).
 
 Duplicate detection: a (label, scenario, shards) triple appearing on more
 than one trajectory point draws a warning on stderr — re-running a benchmark
@@ -44,8 +27,6 @@ warnings for points the thinning removed.
 Usage:
     scripts/check_simspeed.py [--trajectory BENCH_simspeed.json]
                               [--tolerance 0.10] [--baseline LABEL]
-                              [--min-efficiency 0.50]
-                              [--efficiency-min P]
                               [--latest-only]
 """
 
@@ -72,6 +53,7 @@ def rates(point: dict) -> dict[str, float]:
 
 
 def shards_of(point: dict) -> int:
+    """Thread count of a historical multi-threaded-kernel point, else 1."""
     return int(point.get("shards", 1))
 
 
@@ -83,15 +65,6 @@ def label_of(point: dict) -> str:
     traceback.
     """
     return str(point.get("label", "<unlabelled>"))
-
-
-def mesh_of(name: str) -> int:
-    """Mesh edge length from a scenario name like 'Burst/32x32' (0 if none)."""
-    for part in name.split("/"):
-        edge, x, _ = part.partition("x")
-        if x and edge.isdigit():
-            return int(edge)
-    return 0
 
 
 def warn_duplicates(points: list[dict]) -> int:
@@ -133,20 +106,21 @@ def thin_to_latest(points: list[dict]) -> list[dict]:
 def check_regression(points: list[dict], baseline_label: str | None,
                      tolerance: float) -> int:
     new = points[-1]
-    want_shards = shards_of(new)
-    candidates = [p for p in points[:-1] if shards_of(p) == want_shards]
+    if shards_of(new) != 1:
+        print(f"check_simspeed: newest point '{label_of(new)}' is not a "
+              f"sequential-kernel point; skipping regression gate")
+        return 0
+    candidates = [p for p in points[:-1] if shards_of(p) == 1]
     if baseline_label is not None:
         candidates = [p for p in candidates if label_of(p) == baseline_label]
         if not candidates:
-            known = sorted({
-                f"{label_of(p)}(shards={shards_of(p)})" for p in points[:-1]})
-            sys.exit(f"check_simspeed: no baseline point labelled "
-                     f"'{baseline_label}' with shards={want_shards}; known "
-                     f"points: {', '.join(known)}")
+            known = sorted({label_of(p) for p in points[:-1]
+                            if shards_of(p) == 1})
+            sys.exit(f"check_simspeed: no sequential baseline point labelled "
+                     f"'{baseline_label}'; known points: {', '.join(known)}")
     if not candidates:
-        print(f"check_simspeed: no earlier shards={want_shards} point to "
-              f"compare '{label_of(new)}' against; skipping "
-              f"regression gate")
+        print(f"check_simspeed: no earlier sequential point to compare "
+              f"'{label_of(new)}' against; skipping regression gate")
         return 0
     prev = candidates[-1]
     prev_rates, new_rates = rates(prev), rates(new)
@@ -159,7 +133,7 @@ def check_regression(points: list[dict], baseline_label: str | None,
               f"newest point '{label_of(new)}'", file=sys.stderr)
 
     print(f"check_simspeed: '{label_of(prev)}' -> '{label_of(new)}' "
-          f"(shards={want_shards}, tolerance {tolerance:.0%})")
+          f"(tolerance {tolerance:.0%})")
 
     failures = []
     for name in sorted(prev_rates):
@@ -190,63 +164,6 @@ def check_regression(points: list[dict], baseline_label: str | None,
     return 0
 
 
-def check_efficiency(points: list[dict], min_efficiency: float,
-                     efficiency_min: float | None) -> int:
-    """Report parallel efficiency; return the number of hard-gate failures.
-
-    `min_efficiency` only warns (stderr); `efficiency_min`, when not None,
-    is a pass/fail floor — 32x32+ scenarios below it count as failures.
-    """
-    label = label_of(points[-1])
-    same = [p for p in points if label_of(p) == label]
-    seq = [p for p in same if shards_of(p) == 1]
-    par = [p for p in same if shards_of(p) > 1]
-    if not seq or not par:
-        if efficiency_min is not None:
-            print(f"check_simspeed: --efficiency-min set but label '{label}' "
-                  f"has no shards=1 + shards=N point pair; gate skipped")
-        return 0
-    base, sharded = seq[-1], par[-1]
-    shards = shards_of(sharded)
-    cpus = int(sharded.get("cpus", 0))
-    print(f"check_simspeed: parallel efficiency for label '{label}' "
-          f"(shards={shards}, cpus={cpus})")
-    if cpus < 2:
-        print(f"  single-CPU host (cpus={cpus}): no hardware parallelism "
-              f"available, efficiency check skipped — shards={shards} "
-              f"numbers above record thread-coordination overhead only")
-        if efficiency_min is not None:
-            print(f"  --efficiency-min={efficiency_min} gate skipped for the "
-                  f"same reason")
-        return 0
-    workers = min(shards, cpus)
-    base_rates, par_rates = rates(base), rates(sharded)
-    failures = 0
-    for name in sorted(set(base_rates) & set(par_rates)):
-        b, p = base_rates[name], par_rates[name]
-        if b <= 0:
-            continue
-        speedup = p / b
-        eff = speedup / workers
-        big = mesh_of(name) >= 32
-        hard_fail = (big and efficiency_min is not None
-                     and eff < efficiency_min)
-        slow = big and eff < min_efficiency
-        marker = "FAIL" if hard_fail else ("WARN" if slow else "ok  ")
-        print(f"  [{marker}] {name}: {speedup:.2f}x over shards=1 "
-              f"({eff:.0%} efficiency on {workers} workers)")
-        if hard_fail:
-            failures += 1
-            print(f"check_simspeed: FAIL: '{name}' parallel efficiency "
-                  f"{eff:.0%} below the --efficiency-min={efficiency_min} "
-                  f"gate at shards={shards}", file=sys.stderr)
-        elif slow:
-            print(f"check_simspeed: warning: '{name}' parallel efficiency "
-                  f"{eff:.0%} below {min_efficiency:.0%} at shards={shards}",
-                  file=sys.stderr)
-    return failures
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -258,15 +175,8 @@ def main() -> int:
     ap.add_argument("--tolerance", type=float, default=0.10,
                     help="max fractional sim_cycles_per_sec drop (default 0.10)")
     ap.add_argument("--baseline", metavar="LABEL", default=None,
-                    help="compare against the newest same-shards point with "
-                         "this label instead of the newest same-shards point")
-    ap.add_argument("--min-efficiency", type=float, default=0.50,
-                    help="warn when a 32x32+ scenario's parallel efficiency "
-                         "falls below this fraction (default 0.50)")
-    ap.add_argument("--efficiency-min", type=float, default=None, metavar="P",
-                    help="hard gate: fail when a 32x32+ scenario's parallel "
-                         "efficiency falls below P (default: off; skipped "
-                         "on hosts with cpus < 2)")
+                    help="compare against the newest sequential point with "
+                         "this label instead of the newest sequential point")
     ap.add_argument("--latest-only", action="store_true",
                     help="thin the trajectory to the newest point per "
                          "(label, shards) pair before running the gates")
@@ -279,14 +189,7 @@ def main() -> int:
             sys.exit("check_simspeed: --latest-only left fewer than 2 points")
     else:
         warn_duplicates(points)
-    rc = check_regression(points, args.baseline, args.tolerance)
-    eff_failures = check_efficiency(points, args.min_efficiency,
-                                    args.efficiency_min)
-    if eff_failures:
-        print(f"check_simspeed: FAILED — {eff_failures} scenario(s) below "
-              f"the --efficiency-min={args.efficiency_min} gate")
-        return 1
-    return rc
+    return check_regression(points, args.baseline, args.tolerance)
 
 
 if __name__ == "__main__":

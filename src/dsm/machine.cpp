@@ -39,12 +39,6 @@ Machine::Machine(const SystemParams& params, obs::MetricsRegistry* metrics)
   net_->set_delivery_handler([this](NodeId where, const noc::WormPtr& worm) {
     nodes_[where]->handle_delivery(worm);
   });
-  // handle_delivery mutates only node `where`'s state and schedules engine
-  // events (directories, sharer sets, and txn bookkeeping are all reached
-  // through home-node handlers running as scheduled events), which is
-  // exactly the contract the sharded kernel's parallel mailbox replay
-  // requires — results stay bit-identical at any shard count.
-  net_->set_parallel_replay(true);
 }
 
 Machine::~Machine() = default;
@@ -110,7 +104,7 @@ void Machine::snapshot_metrics() {
   reg.counter("route_cache.hits").set(rcs.hits);
   reg.counter("route_cache.misses").set(rcs.misses);
   reg.counter("route_cache.evictions").set(rcs.evictions);
-  net_->publish_shard_metrics();
+  net_->publish_tick_metrics();
 
   std::uint64_t forwarded = 0, consumed = 0, alloc_stalls = 0, cons_blocked = 0,
                 bank_blocked = 0;

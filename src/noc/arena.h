@@ -12,11 +12,8 @@
 //
 //   * every per-(node, port, vc) field is reached by index arithmetic from
 //     (node, port, vc): slot = port * vmax + vc, addr = base + node * stride;
-//   * any whole-row strip of nodes [lo, hi) maps to the contiguous,
-//     cache-line-aligned byte range [base + lo*stride, base + hi*stride) in
-//     every section — shard boundaries never split a cache line, so there is
-//     no false sharing at strip seams for ANY contiguous partition
-//     (rebalanced plans included, see shard_plan.h);
+//   * each node's records start on a cache line in every section, so no
+//     cache line mixes two nodes' records;
 //   * the tick loop's state machine words (NodeWords: pending/routed bitmaps,
 //     work counters, link bandwidth stamps, round-robin pointers) occupy
 //     exactly one cache line per node.
@@ -28,7 +25,6 @@
 // arena plus the cold i-ack bank and stats.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -44,11 +40,8 @@ namespace mdw::noc {
 
 struct NocParams;
 
-/// VC state flag bits (VcHot::flags).  The claim bit deliberately lives in a
-/// separate byte (VcHot::claimed): upstream routers probe free() on their
-/// downstream VCs during the sharded allocate phase while the owning router
-/// may set route bits on the same record, so the probed byte must never alias
-/// the byte the owner writes.
+/// VC state flag bits (VcHot::flags).  The claim bit lives in its own byte
+/// (VcHot::claimed), written by the claiming upstream router.
 enum : std::uint8_t {
   kVcRouted = 1u << 0,         // head processed at this router
   kVcDrainToBank = 1u << 1,    // deferred gather: flits sink into i-ack bank
@@ -68,9 +61,6 @@ enum : std::uint8_t {
 /// `claimed` mirrors its null-ness so free() never loads it.  `claimed` is
 /// written only by the claiming (upstream) router at allocation commit and
 /// cleared at tail departure; `flags` is written only by the owning router.
-/// Keeping them in distinct bytes makes the cross-strip free() probe in the
-/// fused allocate phase race-free (it reads `claimed` and `ring.size`, which
-/// nobody else writes during that phase).
 struct VcHot {
   Cycle ready_at = 0;        // header pipeline gate
   RingIdx ring;              // flit ring occupancy (storage in the flit slab)
@@ -85,21 +75,8 @@ struct VcHot {
   /// in traverse.
   std::uint8_t waiter = 0;
 
-  /// Probed cross-strip by upstream routers during the sharded allocate
-  /// phase.  Neither byte is concurrently written there (claimed has a single
-  /// writer per slot; rings only move under the traverse-front ordering), but
-  /// the loads must stay exact single-byte accesses: plain loads let the
-  /// compiler fuse them into one word-sized load that would overlap the
-  /// `flags` byte the owning router writes in the same phase.  Relaxed
-  /// atomic_ref byte loads compile to the same two movzx on x86 and cannot be
-  /// widened.
-  [[nodiscard]] bool free() const {
-    const auto ld = [](const std::uint8_t& b) {
-      return std::atomic_ref<std::uint8_t>(const_cast<std::uint8_t&>(b))
-          .load(std::memory_order_relaxed);
-    };
-    return ld(claimed) == 0 && ld(ring.size) == 0;
-  }
+  /// Probed by upstream routers looking for a downstream VC.
+  [[nodiscard]] bool free() const { return claimed == 0 && ring.size == 0; }
   [[nodiscard]] bool routed() const { return (flags & kVcRouted) != 0; }
   void reset_route() {
     flags = 0;
@@ -146,8 +123,8 @@ static_assert(sizeof(NodeWords) == 64 && alignof(NodeWords) == 64);
 /// each with a 64-byte-multiple per-node stride, in one allocation.
 class RouterArena {
 public:
-  /// Byte offsets/strides of each section; exposed so tests can verify the
-  /// strip-alignment invariant without poking at live networks.
+  /// Byte offsets/strides of each section; exposed so tests can check the
+  /// layout without poking at live networks.
   struct Layout {
     int vmax = 0;            // per-port VC stride (max of link and inj counts)
     int slots = 0;           // slots per node = kNumPorts * vmax
@@ -171,8 +148,8 @@ public:
     }
   }
 
-  /// Pure layout computation (no allocation): lets tests reason about strip
-  /// alignment for arbitrary mesh/param combinations.
+  /// Pure layout computation (no allocation): lets tests check the layout
+  /// for arbitrary mesh/param combinations.
   static Layout compute_layout(int num_nodes, int vcs_total, int inj_vcs_total,
                                int vc_buffer_flits, int consumption_channels,
                                int cons_buffer_flits) {

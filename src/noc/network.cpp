@@ -21,8 +21,6 @@ std::string worm_trace_args(const Worm& w) {
 
 } // namespace
 
-thread_local Network::ShardCtx* Network::tls_shard_ = nullptr;
-
 Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& params,
                  obs::MetricsRegistry* metrics)
     : eng_(eng), mesh_(mesh), params_(params),
@@ -75,28 +73,6 @@ Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& param
   }
   const char* ff_env = std::getenv("MDW_NO_FF");
   ff_on_ = params_.fast_forward && (ff_env == nullptr || *ff_env == '0');
-  // Flag beats environment: an explicit params_.shards wins over MDW_SHARDS.
-  plan_ = compute_shard_plan(mesh_, resolve_shards(params_.shards));
-  if (plan_.shards > 1) {
-    gates_on_ = true;
-    shard_ctx_.resize(static_cast<std::size_t>(plan_.shards));
-    for (int s = 0; s < plan_.shards; ++s) {
-      ShardCtx& c = shard_ctx_[static_cast<std::size_t>(s)];
-      c.index = s;
-      c.heads_xfer.assign(static_cast<std::size_t>(plan_.shards), 0);
-      c.deliveries.reserve(64);
-      c.idle_checks.reserve(128);
-    }
-    progress_early_ =
-        std::make_unique<PaddedAtomicInt[]>(static_cast<std::size_t>(plan_.shards));
-    progress_late_ =
-        std::make_unique<PaddedAtomicInt[]>(static_cast<std::size_t>(plan_.shards));
-    barrier_ = std::make_unique<sim::ShardBarrier>(plan_.shards);
-    barrier_wait_hist_ =
-        &metrics_->histogram("shard_barrier_wait_spins", 0.0, 64.0, 128);
-    pool_ = std::make_unique<sim::ShardPool>(plan_.shards,
-                                             [this](int s) { shard_main(s); });
-  }
   eng_.register_tickable(this);
 }
 
@@ -132,12 +108,8 @@ void Network::inject(const WormPtr& worm) {
     });
     return;
   }
-  ++counters().in_flight;
-  ++counters().queued_worms;
-  if (gates_on_) {
-    ++shard_ctx_[plan_.shard_of[static_cast<std::size_t>(worm->src)]]
-          .work_qworms;
-  }
+  ++cnt_.in_flight;
+  ++cnt_.queued_worms;
   ++ifaces_[worm->src].inj_work;
   ifaces_[worm->src].inject_q[static_cast<int>(worm->vnet)].push_back(worm);
   mark_work(inject_words_, worm->src);
@@ -147,10 +119,7 @@ void Network::inject(const WormPtr& worm) {
 void Network::reinject(NodeId at, WormPtr worm) {
   // Deferred gather worm resuming its path from `at`.
   assert(worm->path[worm->head_hop] == at);
-  ++counters().queued_worms;
-  if (gates_on_) {
-    ++shard_ctx_[plan_.shard_of[static_cast<std::size_t>(at)]].work_qworms;
-  }
+  ++cnt_.queued_worms;
   ++ifaces_[at].inj_work;
   ifaces_[at].inject_q[static_cast<int>(worm->vnet)].push_back(std::move(worm));
   mark_work(inject_words_, at);
@@ -162,10 +131,7 @@ void Network::post_iack(NodeId at, TxnId txn, int count) {
     ff_until_ = 0;
     eng_.clear_wake();
   }
-  ++counters().pending_posts;
-  if (gates_on_) {
-    ++shard_ctx_[plan_.shard_of[static_cast<std::size_t>(at)]].work_posts;
-  }
+  ++cnt_.pending_posts;
   ifaces_[at].pending_posts.emplace_back(txn, count);
   mark_work(drain_words_, at);
   wake_router(at);
@@ -188,10 +154,7 @@ void Network::try_pending_posts(NodeId n) {
       continue;
     }
     ff_note_acted();
-    --counters().pending_posts;
-    if (gates_on_) {
-      --shard_ctx_[plan_.shard_of[static_cast<std::size_t>(n)]].work_posts;
-    }
+    --cnt_.pending_posts;
     if (tracer_) {
       trace_bank_occupancy(n, router(n).bank().entries_in_use(), eng_.now());
     }
@@ -228,7 +191,7 @@ void Network::service_injection(NodeId n, Cycle now) {
     const bool tail = st.flits_pushed == st.worm->length_flits - 1;
     ring.push_back(Flit{head, tail, now});
     ff_note_acted();
-    ++counters().live_flits;
+    ++cnt_.live_flits;
     ++w.active_work;
     if (head) {
       ivc.ready_at = now + params_.router_delay;
@@ -236,38 +199,16 @@ void Network::service_injection(NodeId n, Cycle now) {
     }
     ++st.flits_pushed;
     if (tail) {
-      if (sharded_active_) {
-        // Park the queue's reference for barrier A's serial section: a
-        // plain drop here races the head shard's concurrent reference copy
-        // on this worm (non-atomic refcount; see ShardCtx::deferred_free).
-        tls_shard_->deferred_free.push_back(std::move(st.worm));
-      }
       st.worm = nullptr;
       st.flits_pushed = 0;
-      --counters().queued_worms;
-      if (gates_on_) {
-        --shard_ctx_[plan_.shard_of[static_cast<std::size_t>(n)]].work_qworms;
-      }
+      --cnt_.queued_worms;
       --iface.inj_work;
     }
   }
 }
 
-void Network::on_delivery(NodeId where, WormPtr worm, bool final_dest,
-                          Cycle now) {
-  if (sharded_active_) {
-    // Defer to the phase-1 barrier: the mailbox is replayed serially in
-    // global (id - start) mod n order, so the delivery handler observes the
-    // exact sequence the sequential kernel produces.  The worm reference is
-    // parked in the mailbox — no refcount traffic on the shard threads.
-    tls_shard_->deliveries.push_back({where, std::move(worm), final_dest});
-    return;
-  }
-  commit_delivery(where, worm, final_dest, now);
-}
-
-void Network::commit_delivery(NodeId where, const WormPtr& worm,
-                              bool final_dest, Cycle now) {
+void Network::commit_delivery(NodeId where, WormPtr worm, bool final_dest,
+                              Cycle now) {
   if (final_dest) {
     worm->deliver_cycle = now;
     stats_.worm_latency.add(static_cast<double>(now - worm->inject_cycle));
@@ -284,20 +225,15 @@ void Network::commit_delivery(NodeId where, const WormPtr& worm,
 }
 
 void Network::on_gather_deposit(NodeId at, const WormPtr& worm) {
-  if (sharded_active_) {
-    ++tls_shard_->delta.gather_deposits;
-    --tls_shard_->delta.in_flight;
-  } else {
-    ++stats_.gather_deposits;
-    assert(cnt_.in_flight > 0);
-    --cnt_.in_flight;
-    if (tracer_) {
-      tracer_->complete(std::string("worm.") + worm_kind_name(worm->kind) +
-                            ".deposit",
-                        "noc", worm->inject_cycle,
-                        eng_.now() - worm->inject_cycle, worm->src,
-                        worm_trace_args(*worm));
-    }
+  ++stats_.gather_deposits;
+  assert(cnt_.in_flight > 0);
+  --cnt_.in_flight;
+  if (tracer_) {
+    tracer_->complete(std::string("worm.") + worm_kind_name(worm->kind) +
+                          ".deposit",
+                      "noc", worm->inject_cycle,
+                      eng_.now() - worm->inject_cycle, worm->src,
+                      worm_trace_args(*worm));
   }
   post_iack(at, worm->txn, worm->gathered);
 }
@@ -398,12 +334,9 @@ bool Network::tick(Cycle now) {
   if (cnt_.live_flits == 0 && cnt_.queued_worms == 0 && cnt_.pending_posts == 0)
     return false;
   if (ff_armed_at_ != kNoGate) ff_resume(now);
-  if (pool_ != nullptr && tracer_ == nullptr) return tick_sharded(now);
-  if (ff_on_) {
-    ff_acted_ = false;
-    ff_blocked_ = false;
-    ff_next_ = kNoGate;
-  }
+  ff_acted_ = false;
+  ff_blocked_ = false;
+  ff_next_ = kNoGate;
   const int n = mesh_.num_nodes();
   const int start = rotate_;
   rotate_ = (rotate_ + 1) % n;
@@ -469,6 +402,29 @@ bool Network::tick(Cycle now) {
   }
   idle_checks_.clear();
   return ff_epilogue(now);
+}
+
+void Network::publish_tick_metrics() {
+  metrics_->counter("net.ff_cycles").set(ff_cycles_);
+  metrics_->counter("net.ff_events").set(ff_events_);
+  using Field = std::uint64_t TickWork::*;
+  static constexpr std::pair<const char*, Field> kTickWork[] = {
+      {"net.tick.drain_visits", &TickWork::drain_visits},
+      {"net.tick.inject_visits", &TickWork::inject_visits},
+      {"net.tick.alloc_visits", &TickWork::alloc_visits},
+      {"net.tick.traverse_visits", &TickWork::traverse_visits},
+      {"net.tick.alloc_attempts", &TickWork::alloc_attempts},
+      {"net.tick.grants", &TickWork::grants},
+      {"net.tick.move_attempts", &TickWork::move_attempts},
+      {"net.tick.moves", &TickWork::moves},
+      {"net.tick.head_parks", &TickWork::head_parks},
+      {"net.tick.vc_parks", &TickWork::vc_parks},
+  };
+  for (const auto& [name, field] : kTickWork) {
+    std::uint64_t sum = 0;
+    for (const Router& r : routers_) sum += r.tick_work().*field;
+    metrics_->counter(name).set(sum);
+  }
 }
 
 } // namespace mdw::noc

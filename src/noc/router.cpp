@@ -57,13 +57,11 @@ void Router::drain_consumption(Cycle now) {
     net_.on_flit_removed();
     ++stats_.flits_consumed;
     if (f.tail()) {
-      // Hand the channel's reference straight through to on_delivery: zero
-      // refcount traffic per consumed worm (this ran once per consumed flit
-      // when it was a shared_ptr copy), which also keeps the sharded
-      // kernel's phase-1 drain free of refcount races on absorb copies.
+      // Hand the channel's reference straight through to commit_delivery:
+      // no refcount traffic per consumed worm.
       const bool fin = (ch.flags & kConsFinal) != 0;
       ch.flags = 0;
-      net_.on_delivery(id_, std::move(cowner_[c]), fin, now);
+      net_.commit_delivery(id_, std::move(cowner_[c]), fin, now);
     }
   }
   if (words_->active_work == 0) net_.note_maybe_idle(id_);

@@ -69,15 +69,6 @@ struct NocParams {
   /// produce bit-identical simulations; see DESIGN.md "Scheduling model".
   bool full_sweep = false;
 
-  /// Cycle-kernel shard count: partition the mesh into this many row strips,
-  /// each ticked by its own thread (DESIGN.md sections 14 and 16).  Clamped
-  /// to the mesh height; 1 runs the sequential kernel unchanged.  <= 0 (the
-  /// default) means "unset": the MDW_SHARDS environment variable is
-  /// consulted, then 1.  An explicit positive value always beats the
-  /// environment (resolve_shards in shard_plan.h).  Purely a
-  /// simulator-speed knob: results are bit-identical at any setting.
-  int shards = 0;
-
   /// Quiescence fast-forward (DESIGN.md section 16): when a tick neither
   /// acts nor blocks and every pending flit/worm is gated on a known future
   /// cycle, jump simulated time there instead of ticking empty sweeps.
@@ -206,8 +197,7 @@ private:
   int cons_n_;
   std::uint64_t vc_field_mask_;  // low vmax_ bits: one port's slot field
   /// Parking state (see the header comment).  Bit s = slot s.  Written by
-  /// this router, and by a link neighbour's traverse (wakes) — in the
-  /// sharded kernel the traverse front order serializes every such pair.
+  /// this router, and by a link neighbour's traverse (wakes).
   std::uint64_t parked_heads_ = 0;  // pending heads allocate skips
   std::uint64_t parked_vcs_ = 0;    // routed VCs traverse skips
   /// Park blocked heads and VCs.  False in full-sweep (reference) mode,

@@ -7,7 +7,6 @@ namespace mdw::noc {
 WormPool::WormPool() : owner_(std::this_thread::get_id()) {}
 
 WormPool::~WormPool() {
-  drain_foreign();
   // Every worm must have come home: a worm released after its pool died
   // would dereference a dangling pool pointer.
   assert(outstanding_ == 0 && "worms outliving their WormPool");
@@ -19,10 +18,6 @@ WormPtr WormPool::acquire() {
   ++acquired_;
   ++outstanding_;
   Worm* w;
-  if (free_.empty() &&
-      foreign_count_.load(std::memory_order_relaxed) != 0) {
-    drain_foreign();
-  }
   if (!free_.empty()) {
     w = free_.back();
     free_.pop_back();
@@ -36,34 +31,10 @@ WormPtr WormPool::acquire() {
 
 void WormPool::recycle(Worm* w) noexcept {
   assert(w->refs == 0 && w->pool == this);
-  if (std::this_thread::get_id() != owner_) {
-    // Shard worker dropping the last reference: park raw, the owner resets
-    // and refiles it (reset + bookkeeping stay single-threaded).
-    const std::lock_guard<std::mutex> lock(foreign_mu_);
-    foreign_.push_back(w);
-    foreign_count_.store(foreign_.size(), std::memory_order_relaxed);
-    return;
-  }
+  assert(std::this_thread::get_id() == owner_);
   w->reset_for_reuse();
   --outstanding_;
   free_.push_back(w);
-}
-
-void WormPool::drain_foreign() noexcept {
-  // Swap against a persistent scratch buffer instead of a fresh vector:
-  // both sides keep their high-water capacity, so a warm pool drains
-  // without touching the heap (pinned by test_alloc_guard).
-  {
-    const std::lock_guard<std::mutex> lock(foreign_mu_);
-    foreign_scratch_.swap(foreign_);
-    foreign_count_.store(0, std::memory_order_relaxed);
-  }
-  for (Worm* w : foreign_scratch_) {
-    w->reset_for_reuse();
-    --outstanding_;
-    free_.push_back(w);
-  }
-  foreign_scratch_.clear();
 }
 
 WormPool& WormPool::local() {

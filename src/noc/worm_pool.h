@@ -7,18 +7,10 @@
 // allocator only when a workload's in-flight high-water mark grows.
 //
 // Lifetime rules:
-//   * A worm is acquired on the pool's owning thread.  One Machine builds
-//     worms on one thread, and the sweep runner executes each grid point
-//     wholly on one worker, so this holds by construction; the pool asserts
-//     it.
-//   * A worm is normally also released on that thread.  The sharded cycle
-//     kernel (DESIGN.md section 14) is the one exception: a shard worker can
-//     drop the last reference (e.g. a gather deposit sinking into a remote
-//     strip's i-ack bank), so a foreign-thread release parks the worm on a
-//     mutex-guarded side list that the owner drains on the next allocation
-//     (or at destruction).  The refcount itself stays non-atomic: the kernel
-//     orders all refcount operations on one worm via its phase barriers and
-//     traverse-order waits.
+//   * A worm is acquired and released on the pool's owning thread.  One
+//     Machine builds and ticks worms on one thread, and the sweep runner
+//     executes each grid point wholly on one worker, so this holds by
+//     construction; the pool asserts it.
 //   * All worms of a pool die before the pool does (machines are destroyed
 //     before thread exit).  The destructor asserts none are outstanding.
 //   * Pooling is invisible to the simulation: a recycled worm is
@@ -26,9 +18,7 @@
 //     in the simulator branches on worm addresses.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -63,24 +53,14 @@ private:
   friend void release_worm(Worm* w) noexcept;
 
   /// Reset `w` and park it on the freelist.  Only called by release_worm
-  /// once the last WormPtr dropped.  Safe from any thread: a release off the
-  /// owning thread goes to the foreign side list instead.
+  /// once the last WormPtr dropped.
   void recycle(Worm* w) noexcept;
 
-  /// Owner-thread only: move foreign-released worms onto the freelist.
-  void drain_foreign() noexcept;
-
   std::vector<Worm*> free_;
-  std::mutex foreign_mu_;
-  std::vector<Worm*> foreign_;        // released off-thread, not yet reset
-  std::vector<Worm*> foreign_scratch_;  // drain_foreign swap buffer; keeps
-                                        // high-water capacity so steady-state
-                                        // drains never allocate
-  std::atomic<std::size_t> foreign_count_{0};
   std::int64_t outstanding_ = 0;
   std::uint64_t acquired_ = 0;
   std::uint64_t reused_ = 0;
-  /// Release-thread affinity check (assertions stay on in release builds).
+  /// Thread-affinity check (assertions stay on in release builds).
   std::thread::id owner_;
 };
 

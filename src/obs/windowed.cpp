@@ -1,8 +1,5 @@
 #include "obs/windowed.h"
 
-#include <algorithm>
-#include <string>
-
 #include "obs/metrics.h"
 
 namespace mdw::obs {
@@ -19,7 +16,6 @@ void WindowedStats::set_warmup_end(Cycle c) {
   windows_.clear();
   accesses_ = 0;
   total_lat_ = sim::Histogram(0.0, lat_bucket_, lat_buckets_);
-  shard_txns_.clear();
 }
 
 WindowedStats::Window& WindowedStats::window_at(Cycle c) {
@@ -36,15 +32,10 @@ void WindowedStats::record_access(Cycle now) {
   ++window_at(now).accesses;
 }
 
-void WindowedStats::record_txn(Cycle end, double latency, int home_shard) {
+void WindowedStats::record_txn(Cycle end, double latency) {
   if (end < warmup_end_) return;
   window_at(end).lat.add(latency);
   total_lat_.add(latency);
-  if (home_shard >= 0) {
-    const auto s = static_cast<std::size_t>(home_shard);
-    if (shard_txns_.size() <= s) shard_txns_.resize(s + 1, 0);
-    ++shard_txns_[s];
-  }
 }
 
 std::vector<WindowRow> WindowedStats::rows(Cycle end_cycle) const {
@@ -81,10 +72,6 @@ void WindowedStats::snapshot_into(MetricsRegistry& reg,
   auto& lh = reg.histogram("stream.steady_inval_latency", 0.0, lat_bucket_,
                            lat_buckets_);
   (void)lh.merge_sim(total_lat_);
-  for (std::size_t s = 0; s < shard_txns_.size(); ++s) {
-    reg.counter("stream.steady_txns.shard." + std::to_string(s))
-        .set(shard_txns_[s]);
-  }
 }
 
 } // namespace mdw::obs

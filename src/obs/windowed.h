@@ -54,18 +54,7 @@ public:
   [[nodiscard]] Cycle window_cycles() const { return window_; }
 
   void record_access(Cycle now);
-  /// `home_shard` (>= 0) attributes the transaction to the cycle-kernel
-  /// shard owning its home node's router (noc::Network::shard_of); pass -1
-  /// when the sequential kernel is active.  Attributed counts surface as
-  /// stream.steady_txns.shard.<s> counters, making a shard whose
-  /// transactions stopped completing visible in a stalled run's snapshot.
-  void record_txn(Cycle end, double latency, int home_shard = -1);
-
-  /// Steady-state transaction counts per home shard (empty when no
-  /// attributed transaction was recorded).
-  [[nodiscard]] const std::vector<std::uint64_t>& shard_txns() const {
-    return shard_txns_;
-  }
+  void record_txn(Cycle end, double latency);
 
   /// Windows in time order.  Rows cover [warmup_end, last sample]; the
   /// final (typically partial) window is included with its real length so
@@ -105,7 +94,6 @@ private:
   std::vector<Window> windows_;
   std::uint64_t accesses_ = 0;
   sim::Histogram total_lat_;
-  std::vector<std::uint64_t> shard_txns_;  // indexed by home shard
 };
 
 } // namespace mdw::obs

@@ -5,8 +5,6 @@
 
 namespace mdw::sim {
 
-thread_local Engine::StageBuffer* Engine::stage_ = nullptr;
-
 bool Engine::step() {
   bool active = false;
   if (!queue_.empty() && queue_.next_time() <= now_) {

@@ -7,27 +7,17 @@
 // over by fast-forwarding to the next event, which keeps long idle phases
 // cheap without sacrificing cycle accuracy.
 //
-// Two hooks exist for the network's quiescence fast-forward (DESIGN.md
-// section 16):
-//
-//   * Wake requests: a component that reports itself idle but knows the
-//     cycle at which it can act again registers that cycle with
-//     request_wake(); the run loops treat it as an additional jump target
-//     (and as pending activity, so run_to_quiescence does not conclude the
-//     simulation is over).  Unlike a queued no-op event, a wake request is
-//     cancellable and never perturbs event sequence numbers, so simulations
-//     with and without fast-forward remain bit-identical.  At most one
-//     component per engine may hold a wake request at a time (the Network).
-//
-//   * Staged scheduling: while a thread-local stage buffer is set,
-//     schedule_at/schedule_after append to it instead of the shared queue.
-//     The sharded kernel replays delivery handlers concurrently (one shard
-//     per mailbox) and then commits the staged events serially in canonical
-//     order, reproducing the exact queue insertion sequence — and therefore
-//     the exact same-time tie-breaking — of a sequential replay.
+// Wake requests serve the network's quiescence fast-forward (DESIGN.md
+// section 16): a component that reports itself idle but knows the cycle at
+// which it can act again registers that cycle with request_wake(); the run
+// loops treat it as an additional jump target (and as pending activity, so
+// run_to_quiescence does not conclude the simulation is over).  Unlike a
+// queued no-op event, a wake request is cancellable and never perturbs event
+// sequence numbers, so simulations with and without fast-forward remain
+// bit-identical.  At most one component per engine may hold a wake request
+// at a time (the Network).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -57,10 +47,6 @@ public:
   void register_tickable(Tickable* t) { tickables_.push_back(t); }
 
   void schedule_at(Cycle when, EventQueue::Callback cb) {
-    if (stage_ != nullptr) {
-      stage_->push_back(StagedEvent{when, std::move(cb)});
-      return;
-    }
     queue_.schedule_at(when, std::move(cb));
   }
   void schedule_after(Cycle delay, EventQueue::Callback cb) {
@@ -81,16 +67,6 @@ public:
   /// idle).  Harmless when none is pending.
   void clear_wake() { wake_pending_ = false; }
   [[nodiscard]] bool wake_pending() const { return wake_pending_; }
-
-  // --- staged scheduling (see header) -------------------------------------
-  struct StagedEvent {
-    Cycle when;
-    EventQueue::Callback cb;
-  };
-  using StageBuffer = std::vector<StagedEvent>;
-  /// Redirect this thread's schedule_at/schedule_after into `buf` (nullptr
-  /// restores direct queue scheduling).  Thread-confined: no locking.
-  static void set_stage_buffer(StageBuffer* buf) { stage_ = buf; }
 
   /// Run until `pred` returns true, the queue drains with all components
   /// idle, or `max_cycles` elapse.  Returns true iff `pred` was satisfied;
@@ -133,7 +109,6 @@ private:
   bool wake_pending_ = false;
   Cycle wake_at_ = 0;
   bool drained_ = false;  // see drained()
-  static thread_local StageBuffer* stage_;
 };
 
 } // namespace mdw::sim

@@ -13,12 +13,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "dsm/machine.h"
 #include "obs/metrics.h"
+#include "sim/cli.h"
 #include "svc/service.h"
 #include "workload/generators.h"
 #include "workload/stream_runner.h"
@@ -61,25 +61,16 @@ void usage(const char* argv0) {
       "  --window=N          steady-state window width (default 10000)\n"
       "  --max-cycles=N      cycle budget (default 2000000000)\n"
       "  --seed=S            base seed (default 1)\n"
-      "  --shards=N          cycle-kernel threads (flag beats MDW_SHARDS;\n"
-      "                      default 1 = sequential kernel)\n"
       "\n"
       "output:\n"
       "  --metrics-json=PATH write the machine + stream metrics registry\n",
       argv0);
 }
 
-[[noreturn]] void die(const char* argv0, const std::string& why) {
-  std::fprintf(stderr, "%s: %s\n\n", argv0, why.c_str());
-  usage(argv0);
-  std::exit(2);
-}
-
 struct Options {
   workload::GenConfig gen;
   std::uint64_t total_ops = 200'000;
   int mesh_w = 16, mesh_h = 16;
-  int shards = 0;  // 0 = unset: MDW_SHARDS, then the sequential kernel
   core::Scheme scheme = core::Scheme::UiUa;
   dsm::SvcParams svc;
   workload::StreamRunnerOptions run;
@@ -87,74 +78,48 @@ struct Options {
   bool require_coalesce = false;
 };
 
-bool parse_mesh(const std::string& v, int& w, int& h) {
-  const std::size_t x = v.find('x');
-  char* end = nullptr;
-  if (x == std::string::npos) {
-    const long k = std::strtol(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size() || k <= 0) return false;
-    w = h = static_cast<int>(k);
-    return true;
-  }
-  const std::string ws = v.substr(0, x), hs = v.substr(x + 1);
-  const long lw = std::strtol(ws.c_str(), &end, 10);
-  if (ws.empty() || end != ws.c_str() + ws.size() || lw <= 0) return false;
-  const long lh = std::strtol(hs.c_str(), &end, 10);
-  if (hs.empty() || end != hs.c_str() + hs.size() || lh <= 0) return false;
-  w = static_cast<int>(lw);
-  h = static_cast<int>(lh);
-  return true;
-}
-
 Options parse_cli(int argc, char** argv) {
   Options opt;
   opt.gen.kind = workload::GenKind::WriteHeavy;
   opt.run.warmup_accesses = 4096;
   opt.run.use_service = true;
   opt.run.outstanding = 4;
-
-  auto flag_value = [](const std::string& a, const char* key,
-                       std::string& out) {
-    const std::string k = std::string(key) + "=";
-    if (a.rfind(k, 0) != 0) return false;
-    out = a.substr(k.size());
-    return true;
-  };
+  const cli::FlagParser cli(argv[0], usage);
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    if (flag_value(a, "--outstanding", v)) {
-      opt.run.outstanding = std::atoi(v.c_str());
-      if (opt.run.outstanding <= 0) {
-        die(argv[0], "--outstanding must be positive");
-      }
-    } else if (flag_value(a, "--depth", v)) {
-      opt.svc.pipeline_depth = std::atoi(v.c_str());
-      if (opt.svc.pipeline_depth < 0) die(argv[0], "--depth must be >= 0");
-    } else if (flag_value(a, "--coalesce", v)) {
-      opt.svc.coalesce_window = std::strtoull(v.c_str(), nullptr, 10);
+    // Flags stored as given: nothing to check beyond a strict parse.
+    if (cli.flag(a, "--coalesce", opt.svc.coalesce_window) ||
+        cli.flag(a, "--metrics-json", opt.metrics_json) ||
+        cli.flag(a, "--alpha", opt.gen.zipf_alpha) ||
+        cli.flag(a, "--seed", opt.gen.seed) ||
+        cli.flag(a, "--think", opt.run.think) ||
+        cli.flag(a, "--warmup", opt.run.warmup_accesses) ||
+        cli.flag(a, "--max-cycles", opt.run.max_cycles)) {
+      continue;
+    }
+    if (cli.flag(a, "--outstanding", opt.run.outstanding)) {
+      if (opt.run.outstanding <= 0) cli.die("--outstanding must be positive");
+    } else if (cli.flag(a, "--depth", opt.svc.pipeline_depth)) {
+      if (opt.svc.pipeline_depth < 0) cli.die("--depth must be >= 0");
     } else if (a == "--require-coalesce") {
       opt.require_coalesce = true;
-    } else if (flag_value(a, "--gen", v)) {
+    } else if (cli.flag(a, "--gen", v)) {
       if (!workload::gen_from_name(v, opt.gen.kind)) {
-        die(argv[0], "unknown generator '" + v + "'");
+        cli.die("unknown generator '" + v + "'");
       }
-    } else if (flag_value(a, "--ops", v)) {
-      opt.total_ops = std::strtoull(v.c_str(), nullptr, 10);
-      if (opt.total_ops == 0) die(argv[0], "--ops must be positive");
-    } else if (flag_value(a, "--blocks", v)) {
-      opt.gen.nblocks =
-          static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-      if (opt.gen.nblocks == 0) die(argv[0], "--blocks must be positive");
-    } else if (flag_value(a, "--alpha", v)) {
-      opt.gen.zipf_alpha = std::atof(v.c_str());
-    } else if (flag_value(a, "--write-frac", v)) {
-      opt.gen.write_fraction = std::atof(v.c_str());
-    } else if (flag_value(a, "--group", v)) {
-      opt.gen.group = std::atoi(v.c_str());
-      if (opt.gen.group <= 0) die(argv[0], "--group must be positive");
-    } else if (flag_value(a, "--pattern", v)) {
+    } else if (cli.flag(a, "--ops", opt.total_ops)) {
+      if (opt.total_ops == 0) cli.die("--ops must be positive");
+    } else if (cli.flag(a, "--blocks", opt.gen.nblocks)) {
+      if (opt.gen.nblocks == 0) cli.die("--blocks must be positive");
+    } else if (cli.flag(a, "--write-frac", opt.gen.write_fraction)) {
+      if (opt.gen.write_fraction < 0 || opt.gen.write_fraction > 1) {
+        cli.die("--write-frac must lie in [0, 1]");
+      }
+    } else if (cli.flag(a, "--group", opt.gen.group)) {
+      if (opt.gen.group <= 0) cli.die("--group must be positive");
+    } else if (cli.flag(a, "--pattern", v)) {
       bool ok = false;
       for (auto p : {workload::SharerPattern::Uniform,
                      workload::SharerPattern::Cluster,
@@ -165,12 +130,12 @@ Options parse_cli(int argc, char** argv) {
           ok = true;
         }
       }
-      if (!ok) die(argv[0], "unknown pattern '" + v + "'");
-    } else if (flag_value(a, "--mesh", v)) {
-      if (!parse_mesh(v, opt.mesh_w, opt.mesh_h)) {
-        die(argv[0], "bad --mesh '" + v + "' (use K or WxH)");
+      if (!ok) cli.die("unknown pattern '" + v + "'");
+    } else if (cli.flag(a, "--mesh", v)) {
+      if (!cli::parse_mesh(v, opt.mesh_w, opt.mesh_h)) {
+        cli.die("bad --mesh '" + v + "' (use K or WxH)");
       }
-    } else if (flag_value(a, "--scheme", v)) {
+    } else if (cli.flag(a, "--scheme", v)) {
       bool ok = false;
       for (core::Scheme s : core::kAllSchemes) {
         if (v == core::scheme_name(s)) {
@@ -178,28 +143,14 @@ Options parse_cli(int argc, char** argv) {
           ok = true;
         }
       }
-      if (!ok) die(argv[0], "unknown scheme '" + v + "'");
-    } else if (flag_value(a, "--think", v)) {
-      opt.run.think = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--warmup", v)) {
-      opt.run.warmup_accesses = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--window", v)) {
-      opt.run.window_cycles = std::strtoull(v.c_str(), nullptr, 10);
-      if (opt.run.window_cycles == 0) die(argv[0], "--window must be positive");
-    } else if (flag_value(a, "--max-cycles", v)) {
-      opt.run.max_cycles = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--shards", v)) {
-      opt.shards = std::atoi(v.c_str());
-      if (opt.shards <= 0) die(argv[0], "--shards must be positive");
-    } else if (flag_value(a, "--seed", v)) {
-      opt.gen.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--metrics-json", v)) {
-      opt.metrics_json = v;
+      if (!ok) cli.die("unknown scheme '" + v + "'");
+    } else if (cli.flag(a, "--window", opt.run.window_cycles)) {
+      if (opt.run.window_cycles == 0) cli.die("--window must be positive");
     } else if (a == "--help" || a == "-h") {
       usage(argv[0]);
       std::exit(0);
     } else {
-      die(argv[0], "unknown option '" + a + "'");
+      cli.die("unknown option '" + a + "'");
     }
   }
   return opt;
@@ -223,7 +174,6 @@ int main(int argc, char** argv) {
   params.mesh_w = opt.mesh_w;
   params.mesh_h = opt.mesh_h;
   params.scheme = opt.scheme;
-  params.noc.shards = opt.shards;
   params.svc = opt.svc;
   obs::MetricsRegistry registry;
   dsm::Machine machine(params, &registry);

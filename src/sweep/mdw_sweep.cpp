@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "sim/cli.h"
 #include "sweep/named_grids.h"
 
 using namespace mdw;
@@ -52,23 +53,12 @@ void usage(const char* argv0) {
       "\n"
       "options:\n"
       "  --jobs=N             worker threads (default: hardware concurrency)\n"
-      "  --shards=N           cycle-kernel threads per point (row strips,\n"
-      "                       clamped to mesh height; an explicit flag beats\n"
-      "                       the MDW_SHARDS env var, default 1; results are\n"
-      "                       bit-identical at any value).  Composes with\n"
-      "                       --jobs: total threads ~ jobs * shards\n"
       "  --format=F           table output: plain (default) | csv | json\n"
       "  --points-json=PATH   write per-point results + merged metrics JSON\n"
       "  --metrics-json=PATH  write merged registry (+ heatmap) JSON\n"
       "  --heatmap            print the merged link heatmap(s) as ASCII\n"
       "  --no-progress        suppress the stderr progress line\n",
       argv0, argv0, sweep::named_grid_list().c_str());
-}
-
-[[noreturn]] void die(const char* argv0, const std::string& why) {
-  std::fprintf(stderr, "%s: %s\n\n", argv0, why.c_str());
-  usage(argv0);
-  std::exit(2);
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -83,16 +73,11 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::vector<int> parse_int_list(const char* argv0, const std::string& flag,
+std::vector<int> parse_int_list(const cli::FlagParser& cli, const char* flag,
                                 const std::string& val) {
   std::vector<int> out;
   for (const std::string& tok : split_csv(val)) {
-    char* end = nullptr;
-    const long v = std::strtol(tok.c_str(), &end, 10);
-    if (tok.empty() || end != tok.c_str() + tok.size()) {
-      die(argv0, "bad integer '" + tok + "' in " + flag);
-    }
-    out.push_back(static_cast<int>(v));
+    cli.number(flag, tok, out.emplace_back());
   }
   return out;
 }
@@ -100,7 +85,6 @@ std::vector<int> parse_int_list(const char* argv0, const std::string& flag,
 struct CliOptions {
   sweep::NamedGrid job;  // the grid to run (named or assembled inline)
   int jobs = 0;
-  int shards = 0;  // 0 = unset: MDW_SHARDS, then the sequential kernel
   std::string format = "plain";
   std::string points_json, metrics_json;
   bool heatmap = false;
@@ -113,102 +97,82 @@ CliOptions parse_cli(int argc, char** argv) {
   opt.job.name = "inline";
   opt.job.description = "inline axis sweep";
   bool named = false, has_axes = false;
-
-  auto flag_value = [](const std::string& a, const char* key,
-                       std::string& out) {
-    const std::string k = std::string(key) + "=";
-    if (a.rfind(k, 0) != 0) return false;
-    out = a.substr(k.size());
-    return true;
-  };
+  const cli::FlagParser cli(argv[0], usage);
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
+    // Flags stored as given: nothing to check beyond a strict parse.
+    if (cli.flag(a, "--jobs", opt.jobs) ||
+        cli.flag(a, "--points-json", opt.points_json) ||
+        cli.flag(a, "--metrics-json", opt.metrics_json)) {
+      continue;
+    }
     if (a.rfind("--", 0) != 0) {
       const sweep::NamedGrid* g = sweep::named_grid(a);
       if (g == nullptr) {
-        die(argv[0], "unknown grid '" + a + "' (have: " +
-                         sweep::named_grid_list() + ")");
+        cli.die("unknown grid '" + a + "' (have: " +
+                sweep::named_grid_list() + ")");
       }
       if (named || has_axes) {
-        die(argv[0], "a named grid cannot be combined with another grid or "
-                     "inline axis options");
+        cli.die("a named grid cannot be combined with another grid or "
+                "inline axis options");
       }
       opt.job = *g;
       named = true;
-    } else if (flag_value(a, "--schemes", v)) {
+    } else if (cli.flag(a, "--schemes", v)) {
       has_axes = true;
       grid.schemes.clear();
       for (const std::string& name : split_csv(v)) {
         core::Scheme s;
         if (!sweep::scheme_from_name(name, s)) {
-          die(argv[0], "unknown scheme '" + name + "'");
+          cli.die("unknown scheme '" + name + "'");
         }
         grid.schemes.push_back(s);
       }
-    } else if (flag_value(a, "--mesh", v)) {
+    } else if (cli.flag(a, "--mesh", v)) {
       has_axes = true;
-      grid.meshes = parse_int_list(argv[0], "--mesh", v);
-    } else if (flag_value(a, "--d", v)) {
+      grid.meshes = parse_int_list(cli, "--mesh", v);
+    } else if (cli.flag(a, "--d", v)) {
       has_axes = true;
-      grid.sharers = parse_int_list(argv[0], "--d", v);
-    } else if (flag_value(a, "--pattern", v)) {
+      grid.sharers = parse_int_list(cli, "--d", v);
+    } else if (cli.flag(a, "--pattern", v)) {
       has_axes = true;
       grid.patterns.clear();
       for (const std::string& name : split_csv(v)) {
         workload::SharerPattern p;
         if (!sweep::pattern_from_name(name, p)) {
-          die(argv[0], "unknown pattern '" + name + "'");
+          cli.die("unknown pattern '" + name + "'");
         }
         grid.patterns.push_back(p);
       }
-    } else if (flag_value(a, "--gens", v)) {
+    } else if (cli.flag(a, "--gens", v)) {
       has_axes = true;
       grid.gens.clear();
       for (const std::string& name : split_csv(v)) {
         workload::GenKind g;
         if (!workload::gen_from_name(name, g)) {
-          die(argv[0], "unknown generator '" + name + "'");
+          cli.die("unknown generator '" + name + "'");
         }
         grid.gens.push_back(g);
       }
-    } else if (flag_value(a, "--gen-ops", v)) {
+    } else if (cli.flag(a, "--gen-ops", grid.gen_ops_per_proc) ||
+               cli.flag(a, "--gen-warmup", grid.gen_warmup_accesses) ||
+               cli.flag(a, "--gen-blocks", grid.gen_blocks) ||
+               cli.flag(a, "--rounds", grid.rounds) ||
+               cli.flag(a, "--seed", grid.base_seed)) {
       has_axes = true;
-      grid.gen_ops_per_proc = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--gen-warmup", v)) {
+    } else if (cli.flag(a, "--concurrent", v)) {
       has_axes = true;
-      grid.gen_warmup_accesses = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--gen-blocks", v)) {
+      grid.concurrency = parse_int_list(cli, "--concurrent", v);
+    } else if (cli.flag(a, "--reps", grid.repetitions)) {
       has_axes = true;
-      grid.gen_blocks =
-          static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (flag_value(a, "--concurrent", v)) {
-      has_axes = true;
-      grid.concurrency = parse_int_list(argv[0], "--concurrent", v);
-    } else if (flag_value(a, "--rounds", v)) {
-      has_axes = true;
-      grid.rounds = std::atoi(v.c_str());
-    } else if (flag_value(a, "--reps", v)) {
-      has_axes = true;
-      grid.repetitions = std::atoi(v.c_str());
-    } else if (flag_value(a, "--seed", v)) {
-      has_axes = true;
-      grid.base_seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--jobs", v)) {
-      opt.jobs = std::atoi(v.c_str());
-    } else if (flag_value(a, "--shards", v)) {
-      opt.shards = std::atoi(v.c_str());
-      if (opt.shards <= 0) die(argv[0], "--shards must be positive");
-    } else if (flag_value(a, "--format", v)) {
+      if (grid.repetitions <= 0) cli.die("--reps must be positive");
+    } else if (cli.flag(a, "--format", v)) {
       if (v != "plain" && v != "csv" && v != "json") {
-        die(argv[0], "bad --format '" + v + "' (plain | csv | json)");
+        cli.die("bad --format '" + v + "' (plain | csv | json)");
       }
       opt.format = v;
-    } else if (flag_value(a, "--points-json", v)) {
-      opt.points_json = v;
-    } else if (flag_value(a, "--metrics-json", v)) {
-      opt.metrics_json = v;
     } else if (a == "--heatmap") {
       opt.heatmap = true;
     } else if (a == "--no-progress") {
@@ -217,11 +181,11 @@ CliOptions parse_cli(int argc, char** argv) {
       usage(argv[0]);
       std::exit(0);
     } else {
-      die(argv[0], "unknown option '" + a + "'");
+      cli.die("unknown option '" + a + "'");
     }
   }
   if (named && has_axes) {
-    die(argv[0], "a named grid cannot be combined with inline axis options");
+    cli.die("a named grid cannot be combined with inline axis options");
   }
 
   if (!named) {
@@ -240,7 +204,7 @@ CliOptions parse_cli(int argc, char** argv) {
                         grid.gens[0] != workload::GenKind::None;
     const bool hotspot = grid.concurrency.size() > 1 || grid.concurrency[0] > 0;
     if (stream && hotspot) {
-      die(argv[0], "--gens and --concurrent > 0 are mutually exclusive "
+      cli.die("--gens and --concurrent > 0 are mutually exclusive "
                    "(stream points replay generators, not hot-spot rounds)");
     }
     if (stream) {
@@ -274,12 +238,7 @@ CliOptions parse_cli(int argc, char** argv) {
 } // namespace
 
 int main(int argc, char** argv) {
-  CliOptions opt = parse_cli(argc, argv);
-  // The sharded cycle kernel is bit-identical at any shard count, so it can
-  // be applied uniformly to every variant of any grid (named or inline).
-  for (sweep::ParamsVariant& var : opt.job.grid.variants) {
-    var.params.noc.shards = opt.shards;
-  }
+  const CliOptions opt = parse_cli(argc, argv);
   const sweep::SweepGrid& grid = opt.job.grid;
   const std::vector<sweep::SweepPoint> points = grid.expand();
 

@@ -1,7 +1,9 @@
 #include "workload/binary_trace.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace mdw::workload {
 
@@ -29,24 +31,33 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
 struct Reader {
   const std::uint8_t* p;
   const std::uint8_t* end;
-  bool ok = true;
+  const char* error = nullptr;  // why the first read failed
 
   std::uint64_t varint() {
     std::uint64_t v = 0;
     int shift = 0;
     while (p < end) {
       const std::uint8_t b = *p++;
-      if (shift >= 63 && b > 1) break;  // > 64 bits: malformed
+      if (shift >= 63 && b > 1) return bad("varint exceeds 64 bits");
       v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
-      if ((b & 0x80u) == 0) return v;
+      if ((b & 0x80u) == 0) {
+        // Ending a multi-byte varint on a zero byte pads a shorter encoding:
+        // the bytes would not survive a re-encode.
+        if (b == 0 && shift > 0) return bad("non-minimal varint");
+        return v;
+      }
       shift += 7;
     }
-    ok = false;
+    return bad("truncated varint");
+  }
+
+  std::uint64_t bad(const char* why) {
+    if (error == nullptr) error = why;
     return 0;
   }
 };
 
-bool fail(std::string* error, const char* why) {
+bool fail(std::string* error, const std::string& why) {
   if (error != nullptr) *error = why;
   return false;
 }
@@ -98,46 +109,78 @@ bool decode_trace(const std::uint8_t* data, std::size_t size, Trace& out,
   Trace t;
   const std::uint64_t nprocs = r.varint();
   const std::uint64_t num_barriers = r.varint();
-  if (!r.ok || nprocs > (1u << 20)) {
-    return fail(error, "malformed header");
+  if (r.error != nullptr) {
+    return fail(error, std::string("malformed header: ") + r.error);
+  }
+  if (nprocs == 0) return fail(error, "trace has no processors");
+  if (nprocs > (1u << 20)) return fail(error, "more than 2^20 processors");
+  if (num_barriers > INT_MAX) {
+    return fail(error, "barrier count exceeds 2^31-1");
   }
   t.nprocs = static_cast<int>(nprocs);
   t.num_barriers = static_cast<int>(num_barriers);
   t.per_proc.resize(nprocs);
   for (std::uint64_t p = 0; p < nprocs; ++p) {
+    const std::string where = "proc " + std::to_string(p) + ": ";
     const std::uint64_t count = r.varint();
-    if (!r.ok) return fail(error, "truncated op count");
+    if (r.error != nullptr) return fail(error, where + "op count: " + r.error);
     // Every op is at least one tag byte, so a count exceeding the remaining
     // payload is corrupt.  Checking BEFORE reserve() keeps an adversarial
     // count (e.g. 2^60) from forcing a multi-exabyte allocation attempt.
     if (count > static_cast<std::uint64_t>(r.end - r.p)) {
-      return fail(error, "op count exceeds remaining payload");
+      return fail(error, where + "op count exceeds remaining payload");
     }
     auto& stream = t.per_proc[p];
     stream.reserve(count);
     BlockAddr prev = 0;
+    std::uint64_t barriers = 0;  // this proc's barriers so far
     for (std::uint64_t i = 0; i < count; ++i) {
-      if (r.p >= r.end) return fail(error, "truncated op stream");
+      if (r.p >= r.end) return fail(error, where + "truncated op stream");
       const std::uint8_t tag = *r.p++;
-      if ((tag & ~0x7u) != 0) return fail(error, "bad op tag");
+      if ((tag & ~0x7u) != 0) return fail(error, where + "bad op tag");
       TraceOp op;
       op.kind = static_cast<OpKind>(tag & 0x3u);
       if (op.kind == OpKind::Read || op.kind == OpKind::Write) {
         const std::int64_t delta = unzigzag(r.varint());
-        const std::int64_t addr = static_cast<std::int64_t>(prev) + delta;
-        if (addr < 0) return fail(error, "block address delta underflows");
+        const auto base = static_cast<std::int64_t>(prev);  // in [0, 2^63)
+        if (delta > std::numeric_limits<std::int64_t>::max() - base) {
+          return fail(error, where + "block address delta overflows");
+        }
+        const std::int64_t addr = base + delta;
+        if (addr < 0) {
+          return fail(error, where + "block address delta underflows");
+        }
         op.addr = static_cast<BlockAddr>(addr);
         prev = op.addr;
       }
       if ((tag & 0x4u) != 0) {
         const std::uint64_t arg = r.varint();
         if (arg > 0xFFFFFFFFull) {
-          return fail(error, "op arg exceeds 32 bits");
+          return fail(error, where + "op arg exceeds 32 bits");
+        }
+        // The encoder sets the has-arg bit only for a nonzero arg.
+        if (arg == 0 && r.error == nullptr) {
+          return fail(error, where + "has-arg tag carrying arg 0");
         }
         op.arg = static_cast<std::uint32_t>(arg);
       }
-      if (!r.ok) return fail(error, "truncated op");
+      if (r.error != nullptr) return fail(error, where + "op: " + r.error);
+      if (op.kind == OpKind::Barrier) {
+        // Replay releases barrier k only once every proc reaches it, in
+        // order: each proc's ids must run 0, 1, ..., num_barriers - 1.
+        if (op.arg != barriers) {
+          return fail(error, where + "barrier " + std::to_string(op.arg) +
+                                 " out of order (expected " +
+                                 std::to_string(barriers) + ")");
+        }
+        ++barriers;
+      }
       stream.push_back(op);
+    }
+    if (barriers != num_barriers) {
+      return fail(error, where + std::to_string(barriers) +
+                             " barriers, header declares " +
+                             std::to_string(num_barriers));
     }
   }
   if (r.p != r.end) return fail(error, "trailing bytes after trace");

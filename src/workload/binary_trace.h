@@ -21,8 +21,9 @@
 //       then, if bit 2: arg varint (barrier id / think cycles / word index)
 //
 // Encoding is canonical (minimal-length varints, deltas fully determined
-// by the ops), so encode(decode(bytes)) == bytes and
-// encode(t) == encode(decode(encode(t))) — the round-trip tests pin both.
+// by the ops, the arg bit set only for a nonzero arg), so
+// encode(decode(bytes)) == bytes and encode(t) == encode(decode(encode(t)))
+// — the round-trip tests pin both.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,10 @@ inline constexpr std::uint32_t kBinaryTraceVersion = 1;
 
 /// Parse bytes produced by encode_trace.  Returns false (and reports why in
 /// `error` when non-null) on bad magic, unsupported version, or truncated /
-/// malformed input; `out` is untouched on failure.
+/// malformed input; `out` is untouched on failure.  Malformed includes any
+/// byte string encode_trace cannot produce (non-minimal varints, an arg bit
+/// carrying arg 0) and any trace replay would abort on: zero processors, or
+/// a processor whose barrier ids do not run 0, 1, ..., num_barriers - 1.
 bool decode_trace(const std::uint8_t* data, std::size_t size, Trace& out,
                   std::string* error = nullptr);
 

@@ -15,12 +15,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "dsm/machine.h"
 #include "obs/metrics.h"
+#include "sim/cli.h"
 #include "workload/apps.h"
 #include "workload/binary_trace.h"
 #include "workload/generators.h"
@@ -59,13 +59,6 @@ void usage(const char* argv0) {
       "  --window=N          steady-state window width, cycles (default 10000)\n"
       "  --max-cycles=N      cycle budget (default 2000000000)\n"
       "  --seed=S            base seed (default 1)\n"
-      "  --shards=N          cycle-kernel threads (row strips; clamped to\n"
-      "                      mesh height; an explicit flag beats the\n"
-      "                      MDW_SHARDS env var, default 1 = sequential\n"
-      "                      kernel; results are bit-identical at any value)\n"
-      "  --rebalance         recompute load-balanced shard strips from the\n"
-      "                      warmup phase's observed occupancy (no-op when\n"
-      "                      shards <= 1; results are bit-identical)\n"
       "\n"
       "output:\n"
       "  --save-trace=PATH   materialize the workload to a binary trace and\n"
@@ -75,88 +68,58 @@ void usage(const char* argv0) {
       argv0);
 }
 
-[[noreturn]] void die(const char* argv0, const std::string& why) {
-  std::fprintf(stderr, "%s: %s\n\n", argv0, why.c_str());
-  usage(argv0);
-  std::exit(2);
-}
-
 struct Options {
   workload::GenConfig gen;          // kind/knobs for --gen mode
   std::string app;                  // barnes | lu | apsp ("" = generator)
   std::string load_trace, save_trace, metrics_json;
   std::uint64_t total_ops = 1'000'000;
   int mesh_w = 16, mesh_h = 16;
-  int shards = 0;  // 0 = unset: MDW_SHARDS, then the sequential kernel
   core::Scheme scheme = core::Scheme::UiUa;
   workload::StreamRunnerOptions run;
   bool print_windows = true;
 };
 
-bool parse_mesh(const std::string& v, int& w, int& h) {
-  const std::size_t x = v.find('x');
-  char* end = nullptr;
-  if (x == std::string::npos) {
-    const long k = std::strtol(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size() || k <= 0) return false;
-    w = h = static_cast<int>(k);
-    return true;
-  }
-  const std::string ws = v.substr(0, x), hs = v.substr(x + 1);
-  const long lw = std::strtol(ws.c_str(), &end, 10);
-  if (ws.empty() || end != ws.c_str() + ws.size() || lw <= 0) return false;
-  const long lh = std::strtol(hs.c_str(), &end, 10);
-  if (hs.empty() || end != hs.c_str() + hs.size() || lh <= 0) return false;
-  w = static_cast<int>(lw);
-  h = static_cast<int>(lh);
-  return true;
-}
-
 Options parse_cli(int argc, char** argv) {
   Options opt;
   opt.run.warmup_accesses = 4096;
   bool gen_given = false;
-
-  auto flag_value = [](const std::string& a, const char* key,
-                       std::string& out) {
-    const std::string k = std::string(key) + "=";
-    if (a.rfind(k, 0) != 0) return false;
-    out = a.substr(k.size());
-    return true;
-  };
+  const cli::FlagParser cli(argv[0], usage);
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    if (flag_value(a, "--gen", v)) {
+    // Flags stored as given: nothing to check beyond a strict parse.
+    if (cli.flag(a, "--load-trace", opt.load_trace) ||
+        cli.flag(a, "--save-trace", opt.save_trace) ||
+        cli.flag(a, "--metrics-json", opt.metrics_json) ||
+        cli.flag(a, "--alpha", opt.gen.zipf_alpha) ||
+        cli.flag(a, "--seed", opt.gen.seed) ||
+        cli.flag(a, "--think", opt.run.think) ||
+        cli.flag(a, "--warmup", opt.run.warmup_accesses) ||
+        cli.flag(a, "--max-cycles", opt.run.max_cycles)) {
+      continue;
+    }
+    if (cli.flag(a, "--gen", v)) {
       if (!workload::gen_from_name(v, opt.gen.kind)) {
-        die(argv[0], "unknown generator '" + v + "'");
+        cli.die("unknown generator '" + v + "'");
       }
       gen_given = true;
-    } else if (flag_value(a, "--app", v)) {
+    } else if (cli.flag(a, "--app", v)) {
       if (v != "barnes" && v != "lu" && v != "apsp") {
-        die(argv[0], "unknown app '" + v + "' (barnes | lu | apsp)");
+        cli.die("unknown app '" + v + "' (barnes | lu | apsp)");
       }
       opt.app = v;
-    } else if (flag_value(a, "--load-trace", v)) {
-      opt.load_trace = v;
-    } else if (flag_value(a, "--save-trace", v)) {
-      opt.save_trace = v;
-    } else if (flag_value(a, "--ops", v)) {
-      opt.total_ops = std::strtoull(v.c_str(), nullptr, 10);
-      if (opt.total_ops == 0) die(argv[0], "--ops must be positive");
-    } else if (flag_value(a, "--blocks", v)) {
-      opt.gen.nblocks =
-          static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-      if (opt.gen.nblocks == 0) die(argv[0], "--blocks must be positive");
-    } else if (flag_value(a, "--alpha", v)) {
-      opt.gen.zipf_alpha = std::atof(v.c_str());
-    } else if (flag_value(a, "--write-frac", v)) {
-      opt.gen.write_fraction = std::atof(v.c_str());
-    } else if (flag_value(a, "--group", v)) {
-      opt.gen.group = std::atoi(v.c_str());
-      if (opt.gen.group <= 0) die(argv[0], "--group must be positive");
-    } else if (flag_value(a, "--pattern", v)) {
+    } else if (cli.flag(a, "--ops", opt.total_ops)) {
+      if (opt.total_ops == 0) cli.die("--ops must be positive");
+    } else if (cli.flag(a, "--blocks", opt.gen.nblocks)) {
+      if (opt.gen.nblocks == 0) cli.die("--blocks must be positive");
+    } else if (cli.flag(a, "--write-frac", opt.gen.write_fraction)) {
+      if (opt.gen.write_fraction < 0 || opt.gen.write_fraction > 1) {
+        cli.die("--write-frac must lie in [0, 1]");
+      }
+    } else if (cli.flag(a, "--group", opt.gen.group)) {
+      if (opt.gen.group <= 0) cli.die("--group must be positive");
+    } else if (cli.flag(a, "--pattern", v)) {
       bool ok = false;
       for (auto p : {workload::SharerPattern::Uniform,
                      workload::SharerPattern::Cluster,
@@ -167,12 +130,12 @@ Options parse_cli(int argc, char** argv) {
           ok = true;
         }
       }
-      if (!ok) die(argv[0], "unknown pattern '" + v + "'");
-    } else if (flag_value(a, "--mesh", v)) {
-      if (!parse_mesh(v, opt.mesh_w, opt.mesh_h)) {
-        die(argv[0], "bad --mesh '" + v + "' (use K or WxH)");
+      if (!ok) cli.die("unknown pattern '" + v + "'");
+    } else if (cli.flag(a, "--mesh", v)) {
+      if (!cli::parse_mesh(v, opt.mesh_w, opt.mesh_h)) {
+        cli.die("bad --mesh '" + v + "' (use K or WxH)");
       }
-    } else if (flag_value(a, "--scheme", v)) {
+    } else if (cli.flag(a, "--scheme", v)) {
       bool ok = false;
       for (core::Scheme s : core::kAllSchemes) {
         if (v == core::scheme_name(s)) {
@@ -180,38 +143,22 @@ Options parse_cli(int argc, char** argv) {
           ok = true;
         }
       }
-      if (!ok) die(argv[0], "unknown scheme '" + v + "'");
-    } else if (flag_value(a, "--think", v)) {
-      opt.run.think = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--warmup", v)) {
-      opt.run.warmup_accesses = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--window", v)) {
-      opt.run.window_cycles = std::strtoull(v.c_str(), nullptr, 10);
-      if (opt.run.window_cycles == 0) die(argv[0], "--window must be positive");
-    } else if (flag_value(a, "--max-cycles", v)) {
-      opt.run.max_cycles = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--shards", v)) {
-      opt.shards = std::atoi(v.c_str());
-      if (opt.shards <= 0) die(argv[0], "--shards must be positive");
-    } else if (a == "--rebalance") {
-      opt.run.rebalance_after_warmup = true;
-    } else if (flag_value(a, "--seed", v)) {
-      opt.gen.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(a, "--metrics-json", v)) {
-      opt.metrics_json = v;
+      if (!ok) cli.die("unknown scheme '" + v + "'");
+    } else if (cli.flag(a, "--window", opt.run.window_cycles)) {
+      if (opt.run.window_cycles == 0) cli.die("--window must be positive");
     } else if (a == "--no-windows") {
       opt.print_windows = false;
     } else if (a == "--help" || a == "-h") {
       usage(argv[0]);
       std::exit(0);
     } else {
-      die(argv[0], "unknown option '" + a + "'");
+      cli.die("unknown option '" + a + "'");
     }
   }
   if ((gen_given && !opt.app.empty()) ||
       (gen_given && !opt.load_trace.empty()) ||
       (!opt.app.empty() && !opt.load_trace.empty())) {
-    die(argv[0], "--gen, --app, and --load-trace are mutually exclusive");
+    cli.die("--gen, --app, and --load-trace are mutually exclusive");
   }
   return opt;
 }
@@ -282,16 +229,12 @@ int main(int argc, char** argv) {
   params.mesh_w = opt.mesh_w;
   params.mesh_h = opt.mesh_h;
   params.scheme = opt.scheme;
-  params.noc.shards = opt.shards;
   obs::MetricsRegistry registry;
   dsm::Machine machine(params, &registry);
 
-  std::printf("mdw_workload: %s on %dx%d mesh, scheme %s, %d procs, "
-              "%d shard%s\n",
+  std::printf("mdw_workload: %s on %dx%d mesh, scheme %s, %d procs\n",
               label.c_str(), opt.mesh_w, opt.mesh_h,
-              std::string(core::scheme_name(opt.scheme)).c_str(), nprocs,
-              machine.network().shards(),
-              machine.network().shards() == 1 ? "" : "s");
+              std::string(core::scheme_name(opt.scheme)).c_str(), nprocs);
 
   workload::StreamRunner runner(machine, *src, opt.run);
   const workload::StreamResult r = runner.run();

@@ -26,13 +26,6 @@ StreamRunner::StreamRunner(dsm::Machine& m, StreamSource& src,
       sessions_.push_back(std::move(s));
     }
   }
-  // Stamp each proc with the cycle-kernel shard owning its home router so
-  // a timeout's describe_stalls() names the strip a stuck proc lives on.
-  if (m_.network().shards() > 1) {
-    for (std::size_t p = 0; p < prog_.size(); ++p) {
-      prog_[p].home_shard = m_.network().shard_of(static_cast<NodeId>(p));
-    }
-  }
 }
 
 StreamRunner::~StreamRunner() {
@@ -53,11 +46,9 @@ StreamResult StreamRunner::run() {
     // Window invalidation latencies as transactions complete; pre-warmup
     // completions are dropped by the warmup_done_ gate, not by the
     // windowing cutoff, so no pre-warmup state accumulates.
-    const bool sharded = m_.network().shards() > 1;
-    m_.set_txn_observer([this, sharded](const dsm::InvalTxnRecord& rec) {
+    m_.set_txn_observer([this](const dsm::InvalTxnRecord& rec) {
       if (warmup_done_) {
-        win_.record_txn(rec.end, static_cast<double>(rec.end - rec.start),
-                        sharded ? m_.network().shard_of(rec.home) : -1);
+        win_.record_txn(rec.end, static_cast<double>(rec.end - rec.start));
       }
     });
     observer_attached_ = true;
@@ -102,13 +93,6 @@ StreamResult StreamRunner::run() {
   r.cycles = end_cycle_ - t0;
   r.accesses = accesses_;
   r.ff_cycles = m_.network().ff_cycles();
-  if (const int shards = m_.network().shards(); shards > 1) {
-    r.shard_barrier_spins.resize(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      r.shard_barrier_spins[static_cast<std::size_t>(s)] =
-          m_.network().shard_barrier_spins(s);
-    }
-  }
   if (r.completed) r.procs = prog_;  // timed-out runs keep the snapshot
   if (opt_.windowed && warmup_done_) {
     r.warmup_end = win_.warmup_end();
@@ -135,18 +119,16 @@ void StreamRunner::snapshot_metrics(obs::MetricsRegistry& reg) const {
   win_.snapshot_into(reg, end_cycle_);
 }
 
-void StreamRunner::rebalance() {
-  // Runs inside an engine event callback — between ticks, which is exactly
-  // the window Network::rebalance_shards requires.  The warmup traffic has
-  // seeded the link heatmap and the scheduled-router population the cost
-  // model reads.
-  m_.network().rebalance_shards();
-  // Strip boundaries moved: re-stamp the per-proc home shards used by
-  // describe_stalls().
-  if (m_.network().shards() > 1) {
-    for (std::size_t p = 0; p < prog_.size(); ++p) {
-      prog_[p].home_shard = m_.network().shard_of(static_cast<NodeId>(p));
+void StreamRunner::note_access_done() {
+  ++completed_accesses_;
+  if (!opt_.windowed) return;
+  if (!warmup_done_) {
+    if (completed_accesses_ >= opt_.warmup_accesses) {
+      warmup_done_ = true;
+      win_.set_warmup_end(m_.engine().now());
     }
+  } else {
+    win_.record_access(m_.engine().now());
   }
 }
 
@@ -179,18 +161,7 @@ void StreamRunner::step(int proc) {
 }
 
 void StreamRunner::on_access_done(int proc) {
-  ++completed_accesses_;
-  if (opt_.windowed) {
-    if (!warmup_done_) {
-      if (completed_accesses_ >= opt_.warmup_accesses) {
-        warmup_done_ = true;
-        win_.set_warmup_end(m_.engine().now());
-        if (opt_.rebalance_after_warmup) rebalance();
-      }
-    } else {
-      win_.record_access(m_.engine().now());
-    }
-  }
+  note_access_done();
   m_.engine().schedule_after(opt_.think, [this, proc] { step(proc); });
 }
 
@@ -247,18 +218,7 @@ void StreamRunner::svc_on_done(int proc) {
   auto& ps = sstate_[static_cast<std::size_t>(proc)];
   --ps.inflight;
   assert(ps.inflight >= 0);
-  ++completed_accesses_;
-  if (opt_.windowed) {
-    if (!warmup_done_) {
-      if (completed_accesses_ >= opt_.warmup_accesses) {
-        warmup_done_ = true;
-        win_.set_warmup_end(m_.engine().now());
-        if (opt_.rebalance_after_warmup) rebalance();
-      }
-    } else {
-      win_.record_access(m_.engine().now());
-    }
-  }
+  note_access_done();
   if (ps.at_barrier_wait) {
     if (ps.inflight == 0) reach_barrier(proc, ps.barrier_id);
     return;

@@ -43,12 +43,6 @@ struct StreamRunnerOptions {
   /// one think time re-fills the window).  Values > 1 require service mode
   /// and are the load knob of EXPERIMENTS.md E11s.
   int outstanding = 1;
-  /// Recompute the cycle kernel's shard strips from observed occupancy when
-  /// warmup completes (Network::rebalance_shards): the warmup phase seeds
-  /// the link heatmap and scheduled-router population the cost model reads.
-  /// No-op with the sequential kernel or warmup_accesses == 0; results are
-  /// bit-identical either way (any contiguous row partition is).
-  bool rebalance_after_warmup = false;
 };
 
 /// RunResult plus the steady-state view.  Throughputs are normalized per
@@ -98,7 +92,8 @@ public:
 private:
   void step(int proc);
   void fill(int proc);  // service-mode issue loop: keep the window full
-  void rebalance();     // warmup-end shard-strip recompute (opt-in)
+  /// Count one completed access toward warmup or the steady-state windows.
+  void note_access_done();
   void on_access_done(int proc);
   void svc_on_done(int proc);
   void reach_barrier(int proc, std::uint32_t id);

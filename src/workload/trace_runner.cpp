@@ -19,7 +19,6 @@ std::string RunResult::describe_stalls() const {
     os << "proc " << p << ": " << pp.ops_retired << " ops";
     if (pp.at_barrier) os << ", at barrier " << pp.barrier_id;
     else os << ", in flight";
-    if (pp.home_shard >= 0) os << " (home shard " << pp.home_shard << ")";
   }
   bool label_pending = true;
   for (std::size_t h = 0; h < home_queue_depths.size(); ++h) {
@@ -35,16 +34,7 @@ std::string RunResult::describe_stalls() const {
   }
   if (ff_cycles > 0) {
     if (!first) os << "; ";
-    first = false;
     os << "net.ff_cycles=" << ff_cycles;
-  }
-  if (!shard_barrier_spins.empty()) {
-    if (!first) os << "; ";
-    os << "shard barrier_spins:";
-    for (std::size_t s = 0; s < shard_barrier_spins.size(); ++s) {
-      os << (s == 0 ? " " : ", ") << "shard." << s << "="
-         << shard_barrier_spins[s];
-    }
   }
   return os.str();
 }
@@ -69,7 +59,6 @@ RunResult TraceRunner::run(Cycle max_cycles) {
   r.procs = std::move(s.procs);
   r.home_queue_depths = std::move(s.home_queue_depths);
   r.ff_cycles = s.ff_cycles;
-  r.shard_barrier_spins = std::move(s.shard_barrier_spins);
   return r;
 }
 

@@ -22,10 +22,6 @@ struct ProcProgress {
   bool done = false;             // stream exhausted
   bool at_barrier = false;       // parked waiting on the barrier below
   std::uint32_t barrier_id = 0;  // valid when at_barrier
-  /// Cycle-kernel shard owning this proc's home router (-1 with the
-  /// sequential kernel): a stall clustered on one shard's strip points at
-  /// the parallel kernel, one spread across shards at the protocol.
-  int home_shard = -1;
 };
 
 struct RunResult {
@@ -43,15 +39,10 @@ struct RunResult {
   /// timed-out run that fast-forwarded most of its budget was starved of
   /// work (a protocol deadlock), not slow.
   std::uint64_t ff_cycles = 0;
-  /// Per-shard barrier spin counters (empty with the sequential kernel): a
-  /// stall where one shard's spins dwarf the rest points at a load-imbalanced
-  /// strip partition.
-  std::vector<std::uint64_t> shard_barrier_spins;
 
   /// One-line summary of stuck processors ("proc 3: 17 ops, at barrier 2;
-  /// ..."), plus any non-empty per-home invalidation queues and the cycle
-  /// kernel's health counters (fast-forwarded cycles, per-shard barrier
-  /// spins); empty when every processor completed.
+  /// ..."), plus any non-empty per-home invalidation queues and the
+  /// fast-forwarded cycles; empty when every processor completed.
   [[nodiscard]] std::string describe_stalls() const;
 };
 

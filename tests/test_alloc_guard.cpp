@@ -1,5 +1,4 @@
-// Steady-state allocation pins (ISSUE 10 satellite; DESIGN.md sections 11
-// and 17).
+// Steady-state allocation pins (DESIGN.md sections 11 and 17).
 //
 // Linking this binary pulls in sim/alloc_guard.cpp, which replaces the global
 // operator new/delete with counting versions.  The tests drive a raw Network
@@ -7,8 +6,7 @@
 // (worm pool fills, ring queues and spill blocks reach their high-water
 // capacity), then an AllocGuard brackets further rounds and must observe ZERO
 // operator-new calls — the arena/pool/ring design means the hot loop never
-// touches the heap once warm.  Both the sequential kernel and the sharded
-// kernel (worker threads already running) are pinned.
+// touches the heap once warm.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,12 +25,10 @@ namespace {
 /// Run `rounds` identical unicast bursts on one persistent Network, starting
 /// the allocation guard after `warmup` rounds.  Returns the operator-new
 /// count observed across the guarded rounds.
-std::uint64_t guarded_new_calls(int shards, int warmup, int rounds) {
+std::uint64_t guarded_new_calls(int warmup, int rounds) {
   sim::Engine eng;
   const MeshShape mesh(8, 8);
-  NocParams params;
-  params.shards = shards;
-  Network net(eng, mesh, params);
+  Network net(eng, mesh, NocParams{});
 
   std::uint64_t delivered = 0;
   net.set_delivery_handler(
@@ -84,13 +80,7 @@ TEST(AllocGuard, CounterAdvancesOnHeapAllocation) {
 TEST(AllocGuard, SequentialKernelSteadyStateAllocFree) {
   if (!sim::alloc_guard_active())
     GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
-  EXPECT_EQ(guarded_new_calls(/*shards=*/1, /*warmup=*/3, /*rounds=*/6), 0u);
-}
-
-TEST(AllocGuard, ShardedKernelSteadyStateAllocFree) {
-  if (!sim::alloc_guard_active())
-    GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
-  EXPECT_EQ(guarded_new_calls(/*shards=*/2, /*warmup=*/3, /*rounds=*/6), 0u);
+  EXPECT_EQ(guarded_new_calls(/*warmup=*/3, /*rounds=*/6), 0u);
 }
 
 } // namespace

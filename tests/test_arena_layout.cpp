@@ -1,23 +1,19 @@
-// RouterArena layout pins (ISSUE 10 satellite; DESIGN.md section 17).
+// RouterArena layout pins (DESIGN.md section 17).
 //
-// The sharded kernel's no-false-sharing guarantee rests on one invariant:
-// every arena section has a per-node stride that is a multiple of 64 bytes
-// and a section base offset that is a multiple of 64 bytes, so ANY
-// contiguous node range [lo, hi) — i.e. any whole-row strip of any shard
-// plan, equal-split or rebalanced — maps to cache-line-aligned byte ranges
-// in every section.  These tests recompute layouts and shard plans for the
-// mesh shapes the benchmarks exercise (square, non-square, 64x64) and check
-// the boundary arithmetic directly, with no Network construction.
+// Every arena section has a base offset and a per-node stride that are
+// multiples of 64 bytes, so each node's records start on a cache line and
+// no line mixes two nodes' records; the tick loop's NodeWords fill exactly
+// one line.  These tests recompute layouts for the mesh shapes the
+// benchmarks exercise (square, non-square, 64x64) and check the arithmetic
+// directly, with no Network construction.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "noc/arena.h"
 #include "noc/geometry.h"
 #include "noc/router.h"
-#include "noc/shard_plan.h"
 
 namespace mdw::noc {
 namespace {
@@ -45,23 +41,12 @@ RouterArena::Layout layout_for(const MeshShape& mesh, const NocParams& p) {
                                      p.cons_buffer_flits);
 }
 
-/// Every strip boundary of `plan` must land on a 64-byte-aligned offset in
-/// every arena section.
-void expect_strips_aligned(const RouterArena::Layout& l, const ShardPlan& plan,
-                           const char* what) {
+/// Every section must start on a cache line and advance by whole cache
+/// lines per node.
+void expect_line_aligned(const RouterArena::Layout& l, const char* what) {
   for (const Section& s : sections(l)) {
     EXPECT_EQ(s.off % 64, 0u) << what << ": section " << s.name;
     EXPECT_EQ(s.stride % 64, 0u) << what << ": section " << s.name;
-    for (const ShardPlan::Range& r : plan.ranges) {
-      const std::size_t lo_off =
-          s.off + static_cast<std::size_t>(r.lo) * s.stride;
-      const std::size_t hi_off =
-          s.off + static_cast<std::size_t>(r.hi) * s.stride;
-      EXPECT_EQ(lo_off % 64, 0u)
-          << what << ": section " << s.name << " strip lo=" << r.lo;
-      EXPECT_EQ(hi_off % 64, 0u)
-          << what << ": section " << s.name << " strip hi=" << r.hi;
-    }
   }
 }
 
@@ -95,44 +80,13 @@ TEST(ArenaLayout, SectionsCoverArenaWithoutOverlap) {
                                     sizeof(Flit));
 }
 
-TEST(ArenaLayout, StripBoundariesCacheLineAlignedAcrossMeshesAndShards) {
+TEST(ArenaLayout, DefaultConfigStridesAreWholeCacheLines) {
   const NocParams params;
   const struct {
     int w, h;
   } meshes[] = {{16, 16}, {33, 17}, {64, 64}};
   for (const auto& m : meshes) {
-    const MeshShape mesh(m.w, m.h);
-    const RouterArena::Layout l = layout_for(mesh, params);
-    for (int shards : {1, 2, 3, 4, 8}) {
-      const ShardPlan plan = compute_shard_plan(mesh, shards);
-      ASSERT_EQ(plan.ranges.back().hi, mesh.num_nodes());
-      expect_strips_aligned(l, plan, "equal-split");
-    }
-  }
-}
-
-TEST(ArenaLayout, RebalancedStripBoundariesStayAligned) {
-  // Skewed row costs push the DP balancer's boundaries off the equal-split
-  // rows; alignment must hold for those plans too — it depends only on the
-  // stride arithmetic, never on where the rows land.
-  const NocParams params;
-  const struct {
-    int w, h;
-  } meshes[] = {{16, 16}, {33, 17}, {64, 64}};
-  for (const auto& m : meshes) {
-    const MeshShape mesh(m.w, m.h);
-    const RouterArena::Layout l = layout_for(mesh, params);
-    std::vector<std::uint64_t> cost(static_cast<std::size_t>(m.h));
-    for (int y = 0; y < m.h; ++y) {
-      // Quadratic skew: the top rows are ~h^2 times hotter than the bottom.
-      cost[static_cast<std::size_t>(y)] =
-          static_cast<std::uint64_t>(y + 1) * static_cast<std::uint64_t>(y + 1);
-    }
-    for (int shards : {2, 3, 4, 8}) {
-      const ShardPlan plan = compute_shard_plan(mesh, shards, cost);
-      ASSERT_EQ(plan.ranges.back().hi, mesh.num_nodes());
-      expect_strips_aligned(l, plan, "rebalanced");
-    }
+    expect_line_aligned(layout_for(MeshShape(m.w, m.h), params), "default");
   }
 }
 
@@ -143,11 +97,7 @@ TEST(ArenaLayout, WiderBufferConfigsKeepAlignment) {
   p.vc_buffer_flits = 7;       // odd ring depth: worst case for padding
   p.consumption_channels = 3;
   p.cons_buffer_flits = 11;
-  const MeshShape mesh(33, 17);
-  const RouterArena::Layout l = layout_for(mesh, p);
-  for (int shards : {2, 3, 8}) {
-    expect_strips_aligned(l, compute_shard_plan(mesh, shards), "wide-config");
-  }
+  expect_line_aligned(layout_for(MeshShape(33, 17), p), "wide-config");
 }
 
 } // namespace

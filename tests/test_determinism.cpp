@@ -99,26 +99,17 @@ Fingerprint fingerprint_of(dsm::Machine& m) {
 }
 
 Fingerprint run_workload(core::Scheme scheme, bool full_sweep,
-                         std::uint64_t seed, int shards = 1,
-                         bool fast_forward = true, bool rebalance = false) {
+                         std::uint64_t seed, bool fast_forward = true) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = 8;
   p.scheme = scheme;
   p.noc.full_sweep = full_sweep;
-  p.noc.shards = shards;
   p.noc.fast_forward = fast_forward;
   dsm::Machine m(p);
   sim::Rng rng(seed);
   const int n = m.num_nodes();
 
   for (int rep = 0; rep < 4; ++rep) {
-    if (rebalance && rep == 1) {
-      // Recompute the shard strips from the traffic rep 0 left in the link
-      // heatmap: the remaining reps run under a cost-model (load-balanced)
-      // plan instead of the equal-split one.  Quiescence above means we are
-      // between ticks, which is the window rebalance_shards requires.
-      m.network().rebalance_shards();
-    }
     const auto home = static_cast<NodeId>(rng.next_below(n));
     NodeId writer = home;
     while (writer == home) writer = static_cast<NodeId>(rng.next_below(n));
@@ -250,38 +241,14 @@ TEST(Determinism, ActiveRegionMatchesFullSweep) {
   }
 }
 
-TEST(Determinism, ShardCountInvariance) {
-  // The sharded parallel cycle kernel (DESIGN.md sections 14 and 16) must be
-  // bit-identical to the sequential kernel: same latencies, flit-hops,
-  // occupancy, and end cycle at every shard count, under both scheduling
-  // modes.  shards=8 on the 8x8 mesh is the one-row-per-shard extreme, and
-  // the rebalanced variant swaps in a cost-model (load-balanced) strip plan
-  // mid-run — any contiguous row partition must give the same answer.
-  for (core::Scheme s : kSchemes) {
-    const Fingerprint seq_active = run_workload(s, /*full_sweep=*/false, 42);
-    const Fingerprint seq_sweep = run_workload(s, /*full_sweep=*/true, 42);
-    for (int shards : {1, 2, 4, 8}) {
-      EXPECT_EQ(run_workload(s, false, 42, shards), seq_active)
-          << "scheme " << core::scheme_name(s) << " shards=" << shards;
-      EXPECT_EQ(run_workload(s, true, 42, shards), seq_sweep)
-          << "scheme " << core::scheme_name(s) << " shards=" << shards
-          << " (full sweep)";
-      EXPECT_EQ(run_workload(s, false, 42, shards, true, /*rebalance=*/true),
-                seq_active)
-          << "scheme " << core::scheme_name(s) << " shards=" << shards
-          << " (rebalanced)";
-    }
-  }
-}
-
 TEST(Determinism, SoAArenaGoldensAcrossKernelConfigs) {
-  // ISSUE 10: the SoA hot-state arena relocated every router's VC/ring/
-  // consumption state into one flat allocation and rewrote the allocate/
-  // traverse scans as bitmap-word walks.  The move is pure layout: each
-  // kernel configuration — every shard count, rebalanced strip plans,
-  // fast-forward on and off — must still land EXACTLY on the pre-arena
-  // golden fingerprints, not merely agree with a same-binary sequential run
-  // (which would also pass if the port broke all configs identically).
+  // The SoA hot-state arena relocated every router's VC/ring/consumption
+  // state into one flat allocation and rewrote the allocate/traverse scans
+  // as bitmap-word walks.  The move is pure layout: each kernel
+  // configuration — work-driven and full sweep, fast-forward on and off —
+  // must still land EXACTLY on the pre-arena golden fingerprints, not merely
+  // agree with a same-binary run in another configuration (which would also
+  // pass if the port broke all configs identically).
   const struct {
     core::Scheme scheme;
     Fingerprint golden;
@@ -294,19 +261,14 @@ TEST(Determinism, SoAArenaGoldensAcrossKernelConfigs) {
                               {0, 0, 0, 9559, 0}}},
   };
   for (const auto& pin : pins) {
-    for (int shards : {1, 2, 4, 8}) {
-      EXPECT_EQ(run_workload(pin.scheme, /*full_sweep=*/true, 42, shards,
-                             /*fast_forward=*/true, /*rebalance=*/true),
-                pin.golden)
-          << "scheme " << core::scheme_name(pin.scheme) << " shards=" << shards
-          << " (rebalanced)";
-    }
-    for (int shards : {1, 4}) {
-      EXPECT_EQ(run_workload(pin.scheme, /*full_sweep=*/true, 42, shards,
-                             /*fast_forward=*/false),
-                pin.golden)
-          << "scheme " << core::scheme_name(pin.scheme) << " shards=" << shards
-          << " (no fast-forward)";
+    for (bool full_sweep : {false, true}) {
+      for (bool fast_forward : {true, false}) {
+        EXPECT_EQ(run_workload(pin.scheme, full_sweep, 42, fast_forward),
+                  pin.golden)
+            << "scheme " << core::scheme_name(pin.scheme)
+            << (full_sweep ? " (full sweep)" : "")
+            << (fast_forward ? "" : " (no fast-forward)");
+      }
     }
   }
 }
@@ -315,18 +277,12 @@ TEST(Determinism, FastForwardInvariance) {
   // Quiescence fast-forward (jumping simulated time across gap cycles where
   // no router can act) is a pure scheduling optimization: with it disabled
   // every fingerprint field — including end cycle and the round-robin
-  // dependent latencies — must match the default fast-forwarding run, for
-  // both the sequential and the sharded kernel.
+  // dependent latencies — must match the default fast-forwarding run.
   for (core::Scheme s : kSchemes) {
     const Fingerprint ff_on = run_workload(s, /*full_sweep=*/false, 42);
     const Fingerprint ff_off =
-        run_workload(s, false, 42, /*shards=*/1, /*fast_forward=*/false);
+        run_workload(s, /*full_sweep=*/false, 42, /*fast_forward=*/false);
     EXPECT_EQ(ff_off, ff_on) << "scheme " << core::scheme_name(s);
-    for (int shards : {2, 4}) {
-      EXPECT_EQ(run_workload(s, false, 42, shards, /*fast_forward=*/false),
-                ff_on)
-          << "scheme " << core::scheme_name(s) << " shards=" << shards;
-    }
     EXPECT_GT(ff_on.inval_txns, 0u);
   }
 }
@@ -344,7 +300,7 @@ struct ContendedCase {
 /// consumption channel one cycle and on its output VC the next.
 /// The block pool fits the cache (one block per line), which keeps a node
 /// from evicting and re-requesting a block with its Writeback in flight.
-Fingerprint run_contended(const ContendedCase& c, bool full_sweep, int shards,
+Fingerprint run_contended(const ContendedCase& c, bool full_sweep,
                           noc::TickWork* work = nullptr) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = 8;
@@ -356,7 +312,6 @@ Fingerprint run_contended(const ContendedCase& c, bool full_sweep, int shards,
   p.noc.cons_buffer_flits = 1;
   p.noc.iack_entries = 1;
   p.noc.full_sweep = full_sweep;
-  p.noc.shards = shards;
   dsm::Machine m(p);
   workload::GenConfig g;
   g.kind = workload::GenKind::Zipfian;
@@ -386,10 +341,8 @@ Fingerprint run_contended(const ContendedCase& c, bool full_sweep, int shards,
 TEST(Determinism, ContendedStallCountersAcrossKernels) {
   // Parking skips retries whose only effect is a stall counter, so the
   // counters must come out exactly as when every retry runs: in the default
-  // mode, in the exhaustive full sweep (which never parks), and in the
-  // sharded kernel, where a tail or pop at one router wakes a head or VC
-  // parked at its neighbour across a strip seam.  The pins were captured
-  // before parking existed.
+  // mode and in the exhaustive full sweep (which never parks).  The pins
+  // were captured before parking existed.
   const struct {
     ContendedCase c;
     Fingerprint golden;
@@ -407,14 +360,10 @@ TEST(Determinism, ContendedStallCountersAcrossKernels) {
   for (const auto& pin : pins) {
     const std::string_view name = core::scheme_name(pin.c.scheme);
     noc::TickWork work;
-    EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/false, 1, &work), pin.golden)
+    EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/false, &work), pin.golden)
         << name;
-    EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/true, 1), pin.golden)
+    EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/true), pin.golden)
         << name << " (full sweep)";
-    for (int shards : {2, 4}) {
-      EXPECT_EQ(run_contended(pin.c, /*full_sweep=*/false, shards), pin.golden)
-          << name << " shards=" << shards;
-    }
     // Every stall kind occurs (i-ack banks only exist under gathers), and
     // the default mode both parks heads and parks VCs.
     EXPECT_GT(pin.golden.stalls.alloc_stall_cycles, 0u) << name;

@@ -276,6 +276,60 @@ TEST(BinaryTrace, CorruptPayloadsRejectedWithClearErrors) {
     EXPECT_FALSE(decode_trace(b.data(), b.size(), out, &err));
     EXPECT_NE(err.find("tag"), std::string::npos) << err;
   }
+  // A trace without processors would abort replay.
+  {
+    auto b = header();
+    varint(b, 0);                      // nprocs
+    varint(b, 0);
+    EXPECT_FALSE(decode_trace(b.data(), b.size(), out, &err));
+    EXPECT_NE(err.find("no processors"), std::string::npos) << err;
+  }
+  // Barrier ids must run 0, 1, ... on every proc: replay releases them in
+  // that order and aborts on any other.
+  {
+    auto b = header();
+    varint(b, 1);
+    varint(b, 2);                      // two barriers
+    varint(b, 2);
+    b.push_back(static_cast<std::uint8_t>(OpKind::Barrier) | 0x4u);
+    varint(b, 1);                      // barrier 1 first
+    b.push_back(static_cast<std::uint8_t>(OpKind::Barrier));  // then 0
+    EXPECT_FALSE(decode_trace(b.data(), b.size(), out, &err));
+    EXPECT_NE(err.find("out of order"), std::string::npos) << err;
+  }
+  // A barrier count beyond int must not narrow silently (2^40 became 0).
+  {
+    auto b = header();
+    varint(b, 1);
+    varint(b, 1ull << 40);
+    varint(b, 0);
+    EXPECT_FALSE(decode_trace(b.data(), b.size(), out, &err));
+    EXPECT_NE(err.find("barrier count"), std::string::npos) << err;
+  }
+  // A non-minimal varint (0x80 0x00 for 0) decodes to a value whose
+  // re-encoding differs: the canonical form forbids it.
+  {
+    auto b = header();
+    varint(b, 1);
+    varint(b, 0);
+    varint(b, 1);
+    b.push_back(static_cast<std::uint8_t>(OpKind::Read));
+    b.push_back(0x80);                 // address delta 0, padded
+    b.push_back(0x00);
+    EXPECT_FALSE(decode_trace(b.data(), b.size(), out, &err));
+    EXPECT_NE(err.find("non-minimal"), std::string::npos) << err;
+  }
+  // The has-arg tag bit is set only for a nonzero arg.
+  {
+    auto b = header();
+    varint(b, 1);
+    varint(b, 0);
+    varint(b, 1);
+    b.push_back(static_cast<std::uint8_t>(OpKind::Think) | 0x4u);
+    varint(b, 0);
+    EXPECT_FALSE(decode_trace(b.data(), b.size(), out, &err));
+    EXPECT_NE(err.find("arg 0"), std::string::npos) << err;
+  }
   // A corrupt file on disk surfaces the decode error through load_trace.
   {
     const std::string path = ::testing::TempDir() + "/mdw_test_corrupt.mdwt";
@@ -287,6 +341,45 @@ TEST(BinaryTrace, CorruptPayloadsRejectedWithClearErrors) {
     EXPECT_FALSE(load_trace(path, out, &err));
     EXPECT_NE(err.find("magic"), std::string::npos) << err;
   }
+}
+
+TEST(BinaryTrace, EverySingleBitFlipFailsCleanlyOrRoundTrips) {
+  // Corrupt a small saved trace one bit at a time.  Each flip must either
+  // fail to decode with a message, or decode to a trace that re-encodes to
+  // the same bytes and replays (on a mesh with a node per proc) without
+  // tripping an assertion.
+  TraceBuilder tb(4);
+  for (int proc = 0; proc < 4; ++proc) {
+    tb.read(proc, 100 + static_cast<BlockAddr>(proc));
+    tb.think(proc, 3);
+  }
+  tb.barrier();
+  for (int proc = 0; proc < 4; ++proc) {
+    tb.write(proc, 100 + static_cast<BlockAddr>((proc + 1) % 4));
+    tb.read(proc, 140);
+  }
+  tb.barrier();
+  const std::vector<std::uint8_t> saved = encode_trace(tb.take());
+  int decoded = 0;
+  for (std::size_t bit = 0; bit < 8 * saved.size(); ++bit) {
+    auto bytes = saved;
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    Trace t;
+    std::string err;
+    if (!decode_trace(bytes.data(), bytes.size(), t, &err)) {
+      EXPECT_FALSE(err.empty()) << "bit " << bit;
+      continue;
+    }
+    ++decoded;
+    EXPECT_EQ(encode_trace(t), bytes) << "bit " << bit;
+    int k = 2;
+    while (k * k < t.nprocs) ++k;
+    dsm::SystemParams p = small_params(core::Scheme::EcCmHg);
+    p.mesh_w = p.mesh_h = k;
+    dsm::Machine m(p);
+    (void)TraceRunner(m, t).run(1'000'000);
+  }
+  EXPECT_GT(decoded, 0);  // some flips (addresses, think times) stay valid
 }
 
 TEST(BinaryTrace, FileRoundTripAndLoadedReplayFingerprint) {
@@ -501,12 +594,11 @@ TEST(RunResultProgress, DescribeStallsOutputIsPinned) {
   r.procs[1].done = true;       // finished procs are omitted
   r.procs[1].ops_retired = 40;
   r.procs[2].ops_retired = 23;  // stuck mid-access
-  r.procs[2].home_shard = 1;
   r.procs[3].done = true;
   r.home_queue_depths = {0, 0, 0, 0, 0, 3, 0, 0, 0, 1};
   EXPECT_EQ(r.describe_stalls(),
-            "proc 0: 17 ops, at barrier 2; proc 2: 23 ops, in flight "
-            "(home shard 1); home queues: node 5=3, node 9=1");
+            "proc 0: 17 ops, at barrier 2; proc 2: 23 ops, in flight; "
+            "home queues: node 5=3, node 9=1");
 
   // A completed run reports nothing, whatever the fields hold.
   r.completed = true;
