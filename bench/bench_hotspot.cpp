@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
     analysis::Table t({"scheme", "deterministic lat", "adaptive lat"});
     for (std::size_t ix = 0; ix < ag.schemes.size(); ++ix) {
       const sweep::PointResult& det =
-          arep.results[ag.flat_index(0, 0, 0, 0, 0, ix)];
+          arep.results[ag.flat_index(0, 0, 0, 0, 0, 0, ix)];
       const sweep::PointResult& ada =
-          arep.results[ag.flat_index(1, 0, 0, 0, 0, ix)];
+          arep.results[ag.flat_index(0, 1, 0, 0, 0, 0, ix)];
       t.add_row({bench::S(ag.schemes[ix]),
                  analysis::Table::num(det.m.inval_latency),
                  analysis::Table::num(ada.m.inval_latency)});

@@ -2,12 +2,14 @@
 # Full verification: clean build + tier-1 tests, a Release build with
 # bench_simspeed + mdw_workload + mdw_service smokes (catches perf-path
 # code that only breaks under -O2; the service smoke asserts coalescing
-# actually fires), a rebuild of the observability + service tests under
-# ASan/UBSan, a UBSan-only build running the complete tier-1 test list
-# (UB in the protocol/planner hot paths shows up here without ASan's
-# run-time cost), and a TSan build of the sweep, worm-pool and service
-# tests (catches data races in the thread-pool grid runner, the only
-# multi-threaded code).
+# actually fires), a build of the perfbench benchmark binary with one short
+# traced paper-grids run (it compiles against src/ headers directly, so an
+# API change that breaks it shows here), a rebuild of the observability +
+# service tests under ASan/UBSan, a UBSan-only build running the complete
+# tier-1 test list (UB in the protocol/planner hot paths shows up here
+# without ASan's run-time cost), and a TSan build of the sweep, worm-pool
+# and service tests (catches data races in the thread-pool grid runner, the
+# only multi-threaded code).
 #
 #   $ scripts/verify.sh [build-dir]
 set -euo pipefail
@@ -15,6 +17,7 @@ cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
 REL_BUILD="${BUILD}-release"
+BENCH_BUILD="${BUILD}-perfbench"
 SAN_BUILD="${BUILD}-asan"
 UBSAN_BUILD="${BUILD}-ubsan"
 TSAN_BUILD="${BUILD}-tsan"
@@ -40,12 +43,6 @@ cmake --build "$REL_BUILD" -j "$JOBS" \
     --require-coalesce
 "$REL_BUILD"/bench/bench_simspeed --benchmark_min_time=0.05 \
     --benchmark_filter='SingleTxn/16x16/UI-UA|Burst/8x8|Stream/16x16'
-# Fast-forward disabled smoke: MDW_NO_FF=1 walks every idle cycle through
-# the full scheduler instead of jumping gaps, so the non-fast-forward tick
-# path gets an -O3 run too (it is bit-identical by test, but only this
-# exercises its codegen at Release optimization levels).
-MDW_NO_FF=1 "$REL_BUILD"/bench/bench_simspeed --benchmark_min_time=0.02 \
-    --benchmark_filter='Burst/8x8|Stream/16x16'
 # Cache-behaviour snapshot of the SoA router arena (EXPERIMENTS.md has the
 # methodology and reference numbers).  perf needs both the binary and the
 # kernel's permission (perf_event_paranoid), so probe with a real counter
@@ -62,6 +59,15 @@ else
 fi
 # Throughput regression gate over the committed trajectory.
 python3 scripts/check_simspeed.py
+
+echo
+echo "=== benchmark: perfbench build + traced paper-grids run (${BENCH_BUILD}) ==="
+# One traced unit of e3+e4+e5+e8: every point completes with coherent
+# state, the traced and untraced runs give the same fingerprint, and four
+# E3/E4 values match EXPERIMENTS.md; any miss exits non-zero.
+cmake -S perfbench -B "$BENCH_BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$BENCH_BUILD" -j "$JOBS"
+"$BENCH_BUILD"/perfbench --workload paper-grids --seed 1 --seconds 1 --trace 1
 
 echo
 echo "=== sanitizers: ASan/UBSan build, obs + worm-pool + stream tests (${SAN_BUILD}) ==="

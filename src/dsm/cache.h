@@ -81,15 +81,9 @@ public:
     return l.value;
   }
 
-  void set_state(BlockAddr a, LineState st) {
-    Line& l = line_of(a);
-    if (l.tag == a) l.state = st;
-  }
-
   void note_hit() { ++stats_.hits; }
   void note_miss() { ++stats_.misses; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  [[nodiscard]] int num_lines() const { return static_cast<int>(lines_.size()); }
 
   /// Enumerate valid lines (for the coherence checker).
   template <typename Fn>

@@ -60,7 +60,6 @@ public:
   [[nodiscard]] TxnId next_txn() { return next_txn_++; }
   [[nodiscard]] MachineStats& stats() { return stats_; }
   void set_record_txns(bool on) { record_txns_ = on; }
-  [[nodiscard]] bool record_txns() const { return record_txns_; }
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
   [[nodiscard]] core::PlanCache& plan_cache() { return plan_cache_; }

@@ -23,13 +23,6 @@ enum class MsgType : std::uint8_t {
   WritebackAck,  // home -> owner
 };
 
-[[nodiscard]] inline const char* msg_name(MsgType t) {
-  static constexpr const char* names[] = {
-      "ReadReq",    "WriteReq",   "ReadReply", "WriteReply", "InvalAck",
-      "Recall",     "RecallShare", "RecallData", "Writeback", "WritebackAck"};
-  return names[static_cast<int>(t)];
-}
-
 struct CohMsg final : noc::Payload {
   MsgType type = MsgType::ReadReq;
   BlockAddr addr = 0;

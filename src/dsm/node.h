@@ -65,8 +65,6 @@ public:
   void read(BlockAddr a, std::function<void(std::uint64_t value)> done);
   void write(BlockAddr a, std::uint64_t value, std::function<void()> done);
   [[nodiscard]] bool op_pending() const { return !ops_.empty(); }
-  [[nodiscard]] int ops_in_flight() const { return static_cast<int>(ops_.size()); }
-  [[nodiscard]] bool op_pending_on(BlockAddr a) const { return ops_.count(a) > 0; }
 
   /// Entry point for every worm delivered (or absorbed) at this node.
   void handle_delivery(const noc::WormPtr& worm);

@@ -78,10 +78,6 @@ struct VcHot {
   /// Probed by upstream routers looking for a downstream VC.
   [[nodiscard]] bool free() const { return claimed == 0 && ring.size == 0; }
   [[nodiscard]] bool routed() const { return (flags & kVcRouted) != 0; }
-  void reset_route() {
-    flags = 0;
-    out_port = out_vc = cons_ch = -1;
-  }
 };
 static_assert(sizeof(VcHot) == 16);
 

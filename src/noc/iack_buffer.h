@@ -55,8 +55,6 @@ public:
   /// samples this once per allocation event, so it must not rescan the bank.
   [[nodiscard]] int entries_in_use() const { return in_use_; }
   [[nodiscard]] std::uint64_t deferred_count() const { return deferred_; }
-  [[nodiscard]] std::uint64_t reserve_blocked_count() const { return reserve_blocked_; }
-  void note_reserve_blocked() { ++reserve_blocked_; }
 
 private:
   struct Entry {
@@ -77,7 +75,6 @@ private:
   std::vector<Entry> entries_;
   int in_use_ = 0;
   std::uint64_t deferred_ = 0;
-  std::uint64_t reserve_blocked_ = 0;
 };
 
 } // namespace mdw::noc

@@ -71,21 +71,12 @@ Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& param
       link.nbr_router = &routers_[static_cast<std::size_t>(nbr)];
     }
   }
-  const char* ff_env = std::getenv("MDW_NO_FF");
-  ff_on_ = params_.fast_forward && (ff_env == nullptr || *ff_env == '0');
   eng_.register_tickable(this);
 }
 
 Network::~Network() = default;
 
 void Network::inject(const WormPtr& worm) {
-  if (ff_until_ != 0) {
-    // New work invalidates an armed fast-forward window: cancel the early
-    // return and the engine wake, keep ff_armed_at_ so the next real tick
-    // still replays the rotation bumps for the cycles already skipped.
-    ff_until_ = 0;
-    eng_.clear_wake();
-  }
   assert(!worm->path.empty());
   assert(!worm->dests.empty());
   assert(worm->adaptive || worm->dests.back().node == worm->path.back());
@@ -127,10 +118,6 @@ void Network::reinject(NodeId at, WormPtr worm) {
 }
 
 void Network::post_iack(NodeId at, TxnId txn, int count) {
-  if (ff_until_ != 0) {  // see inject(); always 0 when called mid-tick
-    ff_until_ = 0;
-    eng_.clear_wake();
-  }
   ++cnt_.pending_posts;
   ifaces_[at].pending_posts.emplace_back(txn, count);
   mark_work(drain_words_, at);
@@ -145,15 +132,10 @@ void Network::try_pending_posts(NodeId n) {
     iface.pending_posts.pop_front();
     bool accepted = false;
     auto released = router(n).bank().post(txn, count, &accepted);
-    if (!accepted) {
-      // Bank full: re-park. Leaves the ring's element sequence (and all
-      // other state) unchanged, so a tick whose posts all re-park is still
-      // fast-forward-skippable — the bank can only free via time-gated
-      // network actions or a post_iack, both of which end a window.
+    if (!accepted) {  // bank full: re-park, retry next cycle
       iface.pending_posts.emplace_back(txn, count);
       continue;
     }
-    ff_note_acted();
     --cnt_.pending_posts;
     if (tracer_) {
       trace_bank_occupancy(n, router(n).bank().entries_in_use(), eng_.now());
@@ -190,7 +172,6 @@ void Network::service_injection(NodeId n, Cycle now) {
     const bool head = st.flits_pushed == 0;
     const bool tail = st.flits_pushed == st.worm->length_flits - 1;
     ring.push_back(Flit{head, tail, now});
-    ff_note_acted();
     ++cnt_.live_flits;
     ++w.active_work;
     if (head) {
@@ -279,64 +260,9 @@ bool Network::node_has_work(NodeId id) const {
   return iface.inj_work > 0 || !iface.pending_posts.empty();
 }
 
-bool Network::ff_epilogue(Cycle now) {
-  // Eligibility: nothing acted, nothing resource-blocked, and at least one
-  // time gate was recorded (no gates would mean no provable wake point —
-  // e.g. a tick whose only activity is bank-full post retries keeps ticking
-  // normally).  Every live flit is covered by a gate: it sits in a routed VC
-  // (traverse gate), behind a pending head (allocation/ready_at gate), or in
-  // a consumption channel (drain gate).
-  if (ff_on_ && !ff_acted_ && !ff_blocked_ && ff_next_ != kNoGate &&
-      ff_next_ > now + 1) {
-    arm_fast_forward(now, ff_next_);
-    return false;  // this tick was provably a no-op: let the run loop jump
-  }
-  return true;
-}
-
-void Network::arm_fast_forward(Cycle now, Cycle next) {
-  assert(next > now);
-  ff_until_ = next;
-  ff_armed_at_ = now;
-  ++ff_events_;
-  eng_.request_wake(next);
-}
-
-void Network::ff_resume(Cycle now) {
-  // The skipped ticks (ff_armed_at_+1 .. now-1) would each have bumped the
-  // rotation cursor and, for every router holding flits, its round-robin
-  // port pointer (traverse bumps it once per tick whenever active_work_ > 0,
-  // even when no flit can move; rr_vc_ only moves on a successful move).
-  // That state was frozen during the window, so the bumps compose into one
-  // modular add — everything else about a skipped tick is a proven no-op.
-  const Cycle skipped = now - ff_armed_at_ - 1;
-  if (skipped > 0) {
-    const int n = mesh_.num_nodes();
-    rotate_ = static_cast<int>(
-        (static_cast<Cycle>(rotate_) + skipped % static_cast<Cycle>(n)) %
-        static_cast<Cycle>(n));
-    const int rr = static_cast<int>(skipped % kNumPorts);
-    for (NodeId id = 0; id < n; ++id) {
-      NodeWords& w = arena_.words(id);
-      if (w.active_work > 0) {
-        w.rr_port = static_cast<std::uint8_t>((w.rr_port + rr) % kNumPorts);
-      }
-    }
-    ff_cycles_ += skipped;
-  }
-  ff_armed_at_ = kNoGate;
-  ff_until_ = 0;
-  eng_.clear_wake();
-}
-
 bool Network::tick(Cycle now) {
-  if (ff_until_ != 0 && now < ff_until_) return false;  // armed window
   if (cnt_.live_flits == 0 && cnt_.queued_worms == 0 && cnt_.pending_posts == 0)
     return false;
-  if (ff_armed_at_ != kNoGate) ff_resume(now);
-  ff_acted_ = false;
-  ff_blocked_ = false;
-  ff_next_ = kNoGate;
   const int n = mesh_.num_nodes();
   const int start = rotate_;
   rotate_ = (rotate_ + 1) % n;
@@ -353,7 +279,7 @@ bool Network::tick(Cycle now) {
     }
     for (int i = 0; i < n; ++i) routers_[(start + i) % n].allocate(now);
     for (int i = 0; i < n; ++i) routers_[(start + i) % n].traverse(now);
-    return ff_epilogue(now);
+    return true;
   }
 
   // Work-driven sweep: identical phase order and, within each phase, the
@@ -401,12 +327,10 @@ bool Network::tick(Cycle now) {
     }
   }
   idle_checks_.clear();
-  return ff_epilogue(now);
+  return true;
 }
 
 void Network::publish_tick_metrics() {
-  metrics_->counter("net.ff_cycles").set(ff_cycles_);
-  metrics_->counter("net.ff_events").set(ff_events_);
   using Field = std::uint64_t TickWork::*;
   static constexpr std::pair<const char*, Field> kTickWork[] = {
       {"net.tick.drain_visits", &TickWork::drain_visits},

@@ -8,19 +8,10 @@
 // phases visit only the routers their work masks mark, in the exhaustive
 // sweep's order, and the routers park heads and VCs that cannot move until a
 // neighbour frees what they wait for (router.h).
-//
-// Quiescence fast-forward (DESIGN.md section 16): a tick in which nothing
-// acted, nothing was blocked on a resource, and every pending flit sits
-// behind a known future time gate arms a fast-forward window — simulated
-// time jumps to the earliest gate (via an Engine wake request) and the
-// skipped ticks' only side effects (rotation and round-robin pointer bumps)
-// are replayed arithmetically on resume.  Results are bit-identical with the
-// feature on or off (NocParams::fast_forward, MDW_NO_FF).
 #pragma once
 
 #include <array>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,14 +114,9 @@ public:
 
   bool tick(Cycle now) override;
 
-  /// Publish the fast-forward counters (net.ff_cycles, net.ff_events) and
-  /// the routers' summed tick work (net.tick.*, see TickWork) into the
-  /// registry.
+  /// Publish the routers' summed tick work (net.tick.*, see TickWork) into
+  /// the registry.
   void publish_tick_metrics();
-  /// Simulated cycles skipped by quiescence fast-forward, and the number of
-  /// windows armed.
-  [[nodiscard]] std::uint64_t ff_cycles() const { return ff_cycles_; }
-  [[nodiscard]] std::uint64_t ff_events() const { return ff_events_; }
 
   // --- used by Router -----------------------------------------------------
   void count_link_flit(NodeId from, Dir d) {
@@ -172,19 +158,6 @@ public:
     cnt_.pending_heads_total += delta;
     if (delta > 0) mark_work(alloc_words_, id);
   }
-  // --- quiescence fast-forward hooks (see header comment) ------------------
-  /// Network state changed this tick (flit moved, post accepted, allocation
-  /// succeeded, ...): the tick is not skippable.
-  void ff_note_acted() { ff_acted_ = true; }
-  /// An allocation stalled on a resource (not on time): its stall counters
-  /// and heatmap records advance every cycle, so the tick cannot be skipped
-  /// without diverging stats.
-  void ff_note_blocked() { ff_blocked_ = true; }
-  /// Some pending work becomes actionable at cycle `when` (arrival or
-  /// pipeline gate): a fast-forward window may jump at most there.
-  void ff_gate(Cycle when) {
-    if (when < ff_next_) ff_next_ = when;
-  }
   /// A work counter at node `id` just reached zero: queue it for the
   /// end-of-tick deschedule check.  Only these transition points can turn
   /// node_has_work false, so checking the queued candidates is equivalent to
@@ -218,8 +191,6 @@ public:
   [[nodiscard]] bool full_sweep() const { return full_sweep_; }
 
 private:
-  static constexpr Cycle kNoGate = std::numeric_limits<Cycle>::max();
-
   /// Global tick-gate and phase-gate counters.
   struct NetCounters {
     std::int64_t in_flight = 0;        // worms injected, not yet delivered
@@ -233,16 +204,6 @@ private:
   void service_injection(NodeId n, Cycle now);
   void try_pending_posts(NodeId n);
   void reinject(NodeId at, WormPtr worm);
-
-  // --- quiescence fast-forward ---------------------------------------------
-  /// End-of-tick check: arm a window if eligible.  Returns the tick()'s
-  /// return value (false when armed: the tick was provably a no-op and the
-  /// run loop should jump).
-  bool ff_epilogue(Cycle now);
-  void arm_fast_forward(Cycle now, Cycle next);
-  /// First real tick after a window: replay the skipped ticks' rotation and
-  /// round-robin bumps arithmetically, disarm.
-  void ff_resume(Cycle now);
 
   sim::Engine& eng_;
   MeshShape mesh_;
@@ -260,14 +221,9 @@ private:
   obs::LinkHeatmap heatmap_;
   obs::TraceWriter* tracer_ = nullptr;
   /// Hot per-event state on its own cache line: every flit move bumps a
-  /// gate counter and marks the fast-forward flags, so keep the flags, the
-  /// rotation cursor, the armed-window bound and the six gate counters
-  /// (64 bytes in all) away from the cold members.
-  alignas(64) bool ff_on_ = false;  // fast-forward enabled
-  bool ff_acted_ = false;           // per-tick marks (see ff_note_*)
-  bool ff_blocked_ = false;
-  int rotate_ = 0;
-  Cycle ff_until_ = 0;  // armed window: ticks before this cycle skip
+  /// gate counter, so keep the rotation cursor and the six gate counters
+  /// away from the cold members.
+  alignas(64) int rotate_ = 0;
   NetCounters cnt_;
 
   /// Visit every router whose bit is set in `words` (sched_words_ or a
@@ -314,12 +270,6 @@ private:
 
   /// Precomputed "iack_bank.<n>" counter names (see trace_bank_occupancy).
   std::vector<std::string> bank_counter_names_;
-
-  // --- fast-forward state (cold: touched at window boundaries only) -------
-  Cycle ff_armed_at_ = kNoGate;  // tick that armed the open window
-  Cycle ff_next_ = kNoGate;      // per-tick gate accumulator
-  std::uint64_t ff_cycles_ = 0;
-  std::uint64_t ff_events_ = 0;
 };
 
 } // namespace mdw::noc

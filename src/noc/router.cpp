@@ -44,13 +44,9 @@ void Router::drain_consumption(Cycle now) {
     ConsHot& ch = chot_[c];
     RingView ring = cons_ring(c);
     if (ring.empty()) continue;
-    if (ring.front().arrival() >= now) {
-      net_.ff_gate(ring.front().arrival() + 1);
-      continue;
-    }
+    if (ring.front().arrival() >= now) continue;
     const Flit f = ring.front();
     ring.pop_front();
-    net_.ff_note_acted();
     --words_->cons_flits;
     --words_->active_work;
     net_.on_cons_flit(id_, -1);
@@ -159,7 +155,6 @@ bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
       auto parked = bank_.pickup(w->txn, w->dests[w->next_dest].expected_posts,
                                  w, &blocked);
       if (blocked) {
-        net_.ff_note_blocked();
         ++stats_.bank_blocked_cycles;
         ++stats_.alloc_stall_cycles;
         return false;
@@ -170,7 +165,6 @@ bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
         w->gathered += *parked;
         w->next_dest += 1;
         // Re-mark as a plain forward from here on (no dest at this router).
-        net_.ff_note_acted();  // bank state changed despite returning false
         ++stats_.alloc_stall_cycles;
         net_.count_link_stall(id_, static_cast<Dir>(out_port));
         if (net_.tracer()) {
@@ -190,7 +184,6 @@ bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
     auto parked = bank_.pickup(w->txn, w->dests[w->next_dest].expected_posts,
                                w, &blocked);
     if (blocked) {
-      net_.ff_note_blocked();
       ++stats_.bank_blocked_cycles;
       ++stats_.alloc_stall_cycles;
       return false;
@@ -228,14 +221,12 @@ bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
   if (needs_cons) {
     cons_ch = find_free_cons_channel();
     if (cons_ch < 0) {
-      net_.ff_note_blocked();
       ++stats_.cons_blocked_cycles;
       ++stats_.alloc_stall_cycles;
       return false;
     }
   }
   if (!last_router && out_vc < 0) {
-    net_.ff_note_blocked();
     ++stats_.alloc_stall_cycles;
     net_.count_link_stall(id_, static_cast<Dir>(out_port));
     // Park the head when the output VC is all it lacks: until a tail leaves
@@ -251,7 +242,6 @@ bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
   }
   if (needs_reserve &&
       !bank_.reserve(w->txn, w->dests[w->next_dest].expected_posts)) {
-    net_.ff_note_blocked();
     ++stats_.bank_blocked_cycles;
     ++stats_.alloc_stall_cycles;
     return false;
@@ -307,13 +297,10 @@ void Router::allocate(Cycle now) {
   // downstream port frees before a tail leaves it, which wakes the head):
   // count exactly what that failure counted, in place of the retry.  These
   // counters commute, so counting them ahead of the scan is exact.
-  if (parked_heads_ != 0) {
-    for (std::uint64_t b = parked_heads_; b != 0; b &= b - 1) {
-      ++stats_.alloc_stall_cycles;
-      net_.count_link_stall(
-          id_, static_cast<Dir>(vhot_[std::countr_zero(b)].out_port));
-    }
-    net_.ff_note_blocked();
+  for (std::uint64_t b = parked_heads_; b != 0; b &= b - 1) {
+    ++stats_.alloc_stall_cycles;
+    net_.count_link_stall(
+        id_, static_cast<Dir>(vhot_[std::countr_zero(b)].out_port));
   }
   // Ascending bit scan of the pending word, port-major: exactly the VCs the
   // exhaustive (port-major, then VC-index) scan would have tried, in the
@@ -332,19 +319,11 @@ void Router::allocate(Cycle now) {
       const int s = slot(port, vi);
       VcHot& v = vhot_[s];
       assert(!v.routed() && v.ring.size > 0 && vc_ring(s).front().head());
-      const Cycle arrival = vc_ring(s).front().arrival();
-      if (arrival >= now) {
-        net_.ff_gate(arrival + 1);
-        continue;
-      }
-      if (now < v.ready_at) {  // router pipeline delay
-        net_.ff_gate(v.ready_at);
-        continue;
-      }
+      if (vc_ring(s).front().arrival() >= now) continue;
+      if (now < v.ready_at) continue;  // router pipeline delay
       ++work_.alloc_attempts;
       if (try_allocate_head(port, s, v, now)) {
         ++work_.grants;
-        net_.ff_note_acted();
         words_->routed |= std::uint64_t{1} << s;
         words_->ports_mask |= static_cast<std::uint8_t>(1u << port);
         words_->pending &= ~(std::uint64_t{1} << s);
@@ -364,10 +343,7 @@ bool Router::try_move_flit(int port, int vidx, VcHot& v, Cycle now) {
   const int s = slot(port, vidx);
   RingView ring = vc_ring(s);
   if (ring.empty()) return false;
-  if (ring.front().arrival() >= now) {
-    net_.ff_gate(ring.front().arrival() + 1);
-    return false;
-  }
+  if (ring.front().arrival() >= now) return false;
   const Flit f = ring.front();
 
   if ((v.flags & kVcDrainToBank) != 0) {
@@ -452,7 +428,6 @@ bool Router::try_move_flit(int port, int vidx, VcHot& v, Cycle now) {
     }
   }
   if (words_->active_work == 0) net_.note_maybe_idle(id_);
-  net_.ff_note_acted();
   return true;
 }
 
@@ -506,7 +481,5 @@ void Router::traverse(Cycle now) {
   }
   w.rr_port = w.rr_port + 1 == kNumPorts ? 0 : w.rr_port + 1;
 }
-
-bool Router::busy() const { return words_->active_work > 0; }
 
 } // namespace mdw::noc

@@ -69,12 +69,6 @@ struct NocParams {
   /// produce bit-identical simulations; see DESIGN.md "Scheduling model".
   bool full_sweep = false;
 
-  /// Quiescence fast-forward (DESIGN.md section 16): when a tick neither
-  /// acts nor blocks and every pending flit/worm is gated on a known future
-  /// cycle, jump simulated time there instead of ticking empty sweeps.
-  /// Bit-identical either way; MDW_NO_FF=1 is the runtime escape hatch.
-  bool fast_forward = true;
-
   [[nodiscard]] int vcs_total() const { return kNumVNets * vcs_per_vnet; }
   [[nodiscard]] int inj_vcs_total() const { return kNumVNets * inj_vcs_per_vnet; }
 };
@@ -127,9 +121,6 @@ public:
   void allocate(Cycle now);
   /// Phase 3: switch traversal; moves flits out of input VCs.
   void traverse(Cycle now);
-
-  /// True if any flit or claimed VC is present (activity detection).
-  [[nodiscard]] bool busy() const;
 
 private:
   friend class Network;

@@ -136,7 +136,6 @@ struct Worm {
   WormPool* pool = nullptr;
 
   [[nodiscard]] NodeId final_dest() const { return path.back(); }
-  [[nodiscard]] bool is_multidest() const { return dests.size() > 1; }
 
   /// Return the worm to its pristine state while KEEPING the heap capacity
   /// of `path` / `dests` (and the refs/pool linkage).  Called by the pool on

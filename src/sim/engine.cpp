@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace mdw::sim {
 
@@ -18,24 +17,18 @@ bool Engine::step() {
   return active;
 }
 
-Cycle Engine::next_activity() const {
-  Cycle next = wake_pending_ ? wake_at_ : std::numeric_limits<Cycle>::max();
-  if (!queue_.empty()) next = std::min(next, queue_.next_time());
-  return next;
-}
-
 bool Engine::run_until(const std::function<bool()>& pred, Cycle max_cycles) {
   drained_ = false;
   const Cycle deadline = now_ + max_cycles;
   while (now_ < deadline) {
     if (pred()) return true;
     if (!step()) {
-      // Quiescent network: jump to the next event or wake request, if any.
-      if (idle_drained()) {
+      // Quiescent network: jump to the next event, if any.
+      if (queue_.empty()) {
         drained_ = !pred();
         return !drained_;
       }
-      if (const Cycle next = next_activity(); next > now_) now_ = next;
+      if (const Cycle next = queue_.next_time(); next > now_) now_ = next;
     }
   }
   return pred();
@@ -45,8 +38,8 @@ bool Engine::run_to_quiescence(Cycle max_cycles) {
   const Cycle deadline = now_ + max_cycles;
   while (now_ < deadline) {
     if (!step()) {
-      if (idle_drained()) return true;
-      if (const Cycle next = next_activity(); next > now_) now_ = next;
+      if (queue_.empty()) return true;
+      if (const Cycle next = queue_.next_time(); next > now_) now_ = next;
     }
   }
   return false;
@@ -56,11 +49,11 @@ void Engine::run_for(Cycle n) {
   const Cycle deadline = now_ + n;
   while (now_ < deadline) {
     if (!step()) {
-      if (idle_drained()) {
+      if (queue_.empty()) {
         now_ = deadline; // nothing can happen before the deadline
         return;
       }
-      if (const Cycle next = next_activity(); next > now_)
+      if (const Cycle next = queue_.next_time(); next > now_)
         now_ = std::min(next, deadline);
     }
   }

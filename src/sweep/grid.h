@@ -74,8 +74,7 @@ struct SweepPoint {
 ///   gen > variant > pattern > concurrency > mesh > sharers > scheme
 /// so a table row (one d or mesh value) is a contiguous run of scheme
 /// columns, matching the bench table layout.  The default gens axis is the
-/// singleton {None} (controlled-invalidation mode), which keeps the legacy
-/// 6-axis flat_index valid for every pre-existing grid.
+/// singleton {None} (controlled-invalidation mode).
 struct SweepGrid {
   std::vector<core::Scheme> schemes{std::begin(core::kAllSchemes),
                                     std::end(core::kAllSchemes)};
@@ -124,19 +123,6 @@ struct SweepGrid {
             i_sharers) *
                schemes.size() +
            i_scheme;
-  }
-
-  /// Legacy 6-axis form: valid whenever the gens axis is singleton (every
-  /// controlled-invalidation grid), where the generator axis contributes
-  /// nothing to the index because it is outermost.
-  [[nodiscard]] std::size_t flat_index(std::size_t i_variant,
-                                       std::size_t i_pattern,
-                                       std::size_t i_concurrency,
-                                       std::size_t i_mesh,
-                                       std::size_t i_sharers,
-                                       std::size_t i_scheme) const {
-    return flat_index(0, i_variant, i_pattern, i_concurrency, i_mesh,
-                      i_sharers, i_scheme);
   }
 
   /// Cross-product expansion; out[i].index == i.

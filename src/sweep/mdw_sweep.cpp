@@ -11,6 +11,7 @@
 // heatmap, and merges happen in point-index order (DESIGN.md section 10).
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -241,6 +242,27 @@ int main(int argc, char** argv) {
   const CliOptions opt = parse_cli(argc, argv);
   const sweep::SweepGrid& grid = opt.job.grid;
   const std::vector<sweep::SweepPoint> points = grid.expand();
+  // Stream points clamp --d (the accessor-group size) themselves.  A
+  // controlled-invalidation point needs d sharers besides the home and the
+  // writer, whichever node writes: at most n - 2 scattered over the mesh,
+  // k - 2 on the home's row or column.  Hot-spot points place their sharers
+  // uniformly whatever the pattern axis says.
+  for (const sweep::SweepPoint& pt : points) {
+    if (pt.gen != workload::GenKind::None) continue;
+    const workload::SharerPattern pattern =
+        pt.concurrent > 0 ? workload::SharerPattern::Uniform : pt.pattern;
+    const bool line = pattern == workload::SharerPattern::SameRow ||
+                      pattern == workload::SharerPattern::SameColumn;
+    const int limit = std::max(0, line ? pt.mesh - 2 : pt.mesh * pt.mesh - 2);
+    if (pt.d > limit) {
+      const std::string k = std::to_string(pt.mesh);
+      cli::FlagParser(argv[0], usage)
+          .die("--d resolves to " + std::to_string(pt.d) + " on a " + k +
+               "x" + k + " mesh, above the " + std::to_string(limit) +
+               " sharers pattern " + workload::pattern_name(pattern) +
+               " can hold there");
+    }
+  }
 
   sweep::RunnerOptions ro;
   ro.jobs = opt.jobs;

@@ -95,14 +95,16 @@ public:
     // Accessor groups never include the block's home (make_sharers
     // excludes it), so clamp to the eligible population — the whole mesh
     // minus home for the scattered patterns, one row/column minus home for
-    // the line patterns.
+    // the line patterns.  Tiny or one-wide meshes leave no eligible node:
+    // the groups are then empty and the coverage rule below gives each
+    // proc one block.
     int max_group = n - 2;
     if (cfg_.pattern == SharerPattern::SameColumn) {
       max_group = mesh.height() - 1;
     } else if (cfg_.pattern == SharerPattern::SameRow) {
       max_group = mesh.width() - 1;
     }
-    const int group = std::max(1, std::min(cfg_.group, max_group));
+    const int group = std::max(0, std::min(cfg_.group, max_group));
 
     // Pattern-placed accessor group per block.  The placement RNG draws
     // from its own sub-stream (index well outside the per-proc range) so

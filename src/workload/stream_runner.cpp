@@ -92,7 +92,6 @@ StreamResult StreamRunner::run() {
 
   r.cycles = end_cycle_ - t0;
   r.accesses = accesses_;
-  r.ff_cycles = m_.network().ff_cycles();
   if (r.completed) r.procs = prog_;  // timed-out runs keep the snapshot
   if (opt_.windowed && warmup_done_) {
     r.warmup_end = win_.warmup_end();

@@ -25,7 +25,7 @@ std::vector<NodeId> make_sharers(sim::Rng& rng, const noc::MeshShape& mesh,
 
   switch (pattern) {
     case SharerPattern::Uniform: {
-      assert(d <= n - 2);
+      assert(d <= std::max(n - 2, 0));
       while (static_cast<int>(picked.size()) < d) {
         const auto c = static_cast<NodeId>(rng.next_below(n));
         if (eligible(c)) picked.insert(c);

@@ -32,10 +32,6 @@ std::string RunResult::describe_stalls() const {
     }
     os << " node " << h << "=" << home_queue_depths[h];
   }
-  if (ff_cycles > 0) {
-    if (!first) os << "; ";
-    os << "net.ff_cycles=" << ff_cycles;
-  }
   return os.str();
 }
 
@@ -58,7 +54,6 @@ RunResult TraceRunner::run(Cycle max_cycles) {
   r.completed = s.completed;
   r.procs = std::move(s.procs);
   r.home_queue_depths = std::move(s.home_queue_depths);
-  r.ff_cycles = s.ff_cycles;
   return r;
 }
 

@@ -35,14 +35,10 @@ struct RunResult {
   /// backpressure (pipeline_depth too small for the offered load), one with
   /// empty queues at the protocol or the network.
   std::vector<std::size_t> home_queue_depths;
-  /// Simulated cycles skipped by the network's quiescence fast-forward: a
-  /// timed-out run that fast-forwarded most of its budget was starved of
-  /// work (a protocol deadlock), not slow.
-  std::uint64_t ff_cycles = 0;
 
   /// One-line summary of stuck processors ("proc 3: 17 ops, at barrier 2;
-  /// ..."), plus any non-empty per-home invalidation queues and the
-  /// fast-forwarded cycles; empty when every processor completed.
+  /// ..."), plus any non-empty per-home invalidation queues; empty when
+  /// every processor completed.
   [[nodiscard]] std::string describe_stalls() const;
 };
 

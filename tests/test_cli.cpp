@@ -94,6 +94,10 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
       {sweep + " --d=2 --reps=abc", "--reps"},
       {sweep + " --d=2 --reps=0", "--reps"},
       {sweep + " --d=2x", "--d"},
+      // A d the mesh or pattern cannot hold for some writer.
+      {sweep + " --d=20", "--d"},
+      {sweep + " --d=0 --pattern=same-row", "--d"},
+      {sweep + " --mesh=16 --d=15 --pattern=same-column", "--d"},
   };
   for (const auto& c : cases) {
     const CmdResult r = run(c.cmd);

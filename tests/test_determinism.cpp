@@ -99,12 +99,11 @@ Fingerprint fingerprint_of(dsm::Machine& m) {
 }
 
 Fingerprint run_workload(core::Scheme scheme, bool full_sweep,
-                         std::uint64_t seed, bool fast_forward = true) {
+                         std::uint64_t seed) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = 8;
   p.scheme = scheme;
   p.noc.full_sweep = full_sweep;
-  p.noc.fast_forward = fast_forward;
   dsm::Machine m(p);
   sim::Rng rng(seed);
   const int n = m.num_nodes();
@@ -196,29 +195,6 @@ TEST(Determinism, SameSeedSameFingerprint) {
   }
 }
 
-TEST(Determinism, PooledHotPathMatchesPrePoolGoldens) {
-  // Exact fingerprints captured from the pre-pooling implementation
-  // (std::shared_ptr worms, std::deque flit buffers, std::vector paths),
-  // full-sweep scheduling, seed 42.  The worm pool, intrusive WormPtr,
-  // SmallVec paths, and FlitRing buffers are pure memory-layout changes:
-  // any drift here means the refactor altered simulated behaviour.
-  const struct {
-    core::Scheme scheme;
-    Fingerprint golden;
-  } pins[] = {
-      {core::Scheme::UiUa, {104, 104, 0, 9600, 0, 0, 4, 880, 3016, 6040,
-                            {9, 0, 0, 9600, 9}}},
-      {core::Scheme::EcCmHg, {90, 80, 7, 9140, 1, 10, 4, 764, 2542, 5924,
-                              {0, 0, 0, 9140, 0}}},
-      {core::Scheme::WfScSg, {66, 66, 20, 9559, 0, 0, 4, 883, 2236, 6043,
-                              {0, 0, 0, 9559, 0}}},
-  };
-  for (const auto& pin : pins) {
-    const Fingerprint got = run_workload(pin.scheme, /*full_sweep=*/true, 42);
-    EXPECT_EQ(got, pin.golden) << "scheme " << core::scheme_name(pin.scheme);
-  }
-}
-
 TEST(Determinism, ServiceLayerDepthOneMatchesClassicPath) {
   // The ISSUE's determinism pin: with pipeline depth 1 and coalescing off,
   // driving the workload through svc::Session tickets is fingerprint-
@@ -242,13 +218,13 @@ TEST(Determinism, ActiveRegionMatchesFullSweep) {
 }
 
 TEST(Determinism, SoAArenaGoldensAcrossKernelConfigs) {
-  // The SoA hot-state arena relocated every router's VC/ring/consumption
-  // state into one flat allocation and rewrote the allocate/traverse scans
-  // as bitmap-word walks.  The move is pure layout: each kernel
-  // configuration — work-driven and full sweep, fast-forward on and off —
-  // must still land EXACTLY on the pre-arena golden fingerprints, not merely
-  // agree with a same-binary run in another configuration (which would also
-  // pass if the port broke all configs identically).
+  // Exact fingerprints captured from the pre-pooling implementation
+  // (std::shared_ptr worms, std::deque flit buffers, std::vector paths,
+  // per-router VC objects), seed 42.  The worm pool, the SoA hot-state arena
+  // and the bitmap-word allocate/traverse scans are pure layout changes:
+  // both scheduling modes — work-driven and full sweep — must still land
+  // EXACTLY on these pins, not merely agree with a same-binary run in the
+  // other mode (which would also pass if a change broke both identically).
   const struct {
     core::Scheme scheme;
     Fingerprint golden;
@@ -262,28 +238,10 @@ TEST(Determinism, SoAArenaGoldensAcrossKernelConfigs) {
   };
   for (const auto& pin : pins) {
     for (bool full_sweep : {false, true}) {
-      for (bool fast_forward : {true, false}) {
-        EXPECT_EQ(run_workload(pin.scheme, full_sweep, 42, fast_forward),
-                  pin.golden)
-            << "scheme " << core::scheme_name(pin.scheme)
-            << (full_sweep ? " (full sweep)" : "")
-            << (fast_forward ? "" : " (no fast-forward)");
-      }
+      EXPECT_EQ(run_workload(pin.scheme, full_sweep, 42), pin.golden)
+          << "scheme " << core::scheme_name(pin.scheme)
+          << (full_sweep ? " (full sweep)" : "");
     }
-  }
-}
-
-TEST(Determinism, FastForwardInvariance) {
-  // Quiescence fast-forward (jumping simulated time across gap cycles where
-  // no router can act) is a pure scheduling optimization: with it disabled
-  // every fingerprint field — including end cycle and the round-robin
-  // dependent latencies — must match the default fast-forwarding run.
-  for (core::Scheme s : kSchemes) {
-    const Fingerprint ff_on = run_workload(s, /*full_sweep=*/false, 42);
-    const Fingerprint ff_off =
-        run_workload(s, /*full_sweep=*/false, 42, /*fast_forward=*/false);
-    EXPECT_EQ(ff_off, ff_on) << "scheme " << core::scheme_name(s);
-    EXPECT_GT(ff_on.inval_txns, 0u);
   }
 }
 

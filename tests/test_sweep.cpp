@@ -86,7 +86,7 @@ TEST(SweepGrid, ExpansionOrderSeedsAndProportionalSharers) {
     EXPECT_EQ(points[i].seed, sweep::derive_point_seed(99, i));
     EXPECT_EQ(points[i].params.mesh_w, points[i].mesh);
     EXPECT_EQ(points[i].params.scheme, points[i].scheme);
-    EXPECT_EQ(i, g.flat_index(points[i].i_variant, points[i].i_pattern,
+    EXPECT_EQ(i, g.flat_index(0, points[i].i_variant, points[i].i_pattern,
                               points[i].i_concurrency, points[i].i_mesh,
                               points[i].i_sharers, points[i].i_scheme));
   }
@@ -316,19 +316,6 @@ TEST(SweepGrid, GeneratorAxisExpansion) {
     EXPECT_EQ(i, g.flat_index(pt.i_gen, pt.i_variant, pt.i_pattern,
                               pt.i_concurrency, pt.i_mesh, pt.i_sharers,
                               pt.i_scheme));
-  }
-
-  // The legacy 6-arg flat_index stays valid while gens is the {None}
-  // singleton (every pre-streaming caller).
-  sweep::SweepGrid legacy;
-  legacy.schemes = {core::Scheme::UiUa, core::Scheme::EcCmCg};
-  legacy.sharers = {2, 4};
-  const auto lp = legacy.expand();
-  for (std::size_t i = 0; i < lp.size(); ++i) {
-    EXPECT_EQ(lp[i].gen, workload::GenKind::None);
-    EXPECT_EQ(i, legacy.flat_index(lp[i].i_variant, lp[i].i_pattern,
-                                   lp[i].i_concurrency, lp[i].i_mesh,
-                                   lp[i].i_sharers, lp[i].i_scheme));
   }
 }
 

@@ -1,12 +1,19 @@
 // Synthetic workload primitives: make_sharers geometry invariants across
-// every pattern, and the SplitMix64 per-processor seed discipline of
-// random_trace (shared with the stream generators and the sweep grid).
+// every pattern, the stream generators on meshes too small for any accessor
+// group, and the SplitMix64 per-processor seed discipline of random_trace
+// (shared with the stream generators and the sweep grid).
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "dsm/machine.h"
 #include "noc/geometry.h"
 #include "sim/rng.h"
+#include "workload/generators.h"
+#include "workload/stream_runner.h"
 #include "workload/synthetic.h"
 
 namespace mdw::workload {
@@ -72,6 +79,48 @@ TEST(MakeSharers, ClusterIsSpatiallyCompact) {
   }
   EXPECT_LE(max_x - min_x, 2);
   EXPECT_LE(max_y - min_y, 2);
+}
+
+TEST(Generators, CompleteWhereNoNodeCanJoinAGroup) {
+  // Meshes of fewer than three nodes, and a line pattern along a one-wide
+  // mesh, leave no node eligible for a block's accessor group: the groups
+  // are empty and the coverage rule gives each proc one block.  Every
+  // generator must still run to completion with coherent state.
+  struct Case {
+    int w, h;
+    SharerPattern pattern;
+  };
+  std::vector<Case> cases;
+  for (const auto& [w, h] : {std::pair{1, 1}, {2, 1}, {1, 2}}) {
+    for (SharerPattern pattern : kAllPatterns) cases.push_back({w, h, pattern});
+  }
+  cases.push_back({1, 8, SharerPattern::SameRow});
+  cases.push_back({8, 1, SharerPattern::SameColumn});
+
+  for (const Case& c : cases) {
+    for (GenKind kind : kAllGenKinds) {
+      const std::string label = std::to_string(c.w) + "x" +
+                                std::to_string(c.h) + " " +
+                                pattern_name(c.pattern) + " " + gen_name(kind);
+      dsm::SystemParams p;
+      p.mesh_w = c.w;
+      p.mesh_h = c.h;
+      dsm::Machine m(p);
+      GenConfig cfg;
+      cfg.kind = kind;
+      cfg.nprocs = m.num_nodes();
+      cfg.nblocks = 16;
+      cfg.ops_per_proc = 50;
+      cfg.pattern = c.pattern;
+      const auto src = make_generator(cfg, m.network().mesh());
+      StreamRunner runner(m, *src, StreamRunnerOptions{});
+      const StreamResult r = runner.run();
+      EXPECT_TRUE(r.completed) << label << ": " << r.describe_stalls();
+      EXPECT_EQ(r.accesses, 50u * static_cast<std::size_t>(m.num_nodes()))
+          << label;
+      EXPECT_EQ(m.check_coherence(), "") << label;
+    }
+  }
 }
 
 TEST(RandomTrace, SameSeedIdenticalDifferentSeedNot) {
