@@ -4,7 +4,7 @@
 #include "bench_common.h"
 
 #include "workload/apps.h"
-#include "workload/trace_runner.h"
+#include "workload/stream_runner.h"
 
 using namespace mdw;
 
@@ -26,7 +26,8 @@ void run_app(const App& app) {
     p.mesh_w = p.mesh_h = 4;
     p.scheme = s;
     dsm::Machine m(p);
-    workload::TraceRunner runner(m, app.trace);
+    workload::TraceSource src(app.trace);
+    workload::StreamRunner runner(m, src);
     const auto r = runner.run();
     if (!r.completed) {
       std::fprintf(stderr, "replay failed for %s\n", bench::S(s).c_str());
@@ -75,7 +76,9 @@ int main(int argc, char** argv) {
     p.scheme = core::Scheme::UiUa;
     dsm::Machine m(p, &registry);
     if (opt.tracing()) m.set_trace_writer(&trace);
-    workload::TraceRunner runner(m, workload::barnes_hut_trace(16, 128, 4, 42));
+    const workload::Trace barnes = workload::barnes_hut_trace(16, 128, 4, 42);
+    workload::TraceSource src(barnes);
+    workload::StreamRunner runner(m, src);
     const auto r = runner.run();
     if (!r.completed) {
       std::fprintf(stderr, "instrumented replay failed\n");

@@ -5,7 +5,7 @@
 #include "bench_common.h"
 
 #include "workload/apps.h"
-#include "workload/trace_runner.h"
+#include "workload/stream_runner.h"
 
 using namespace mdw;
 
@@ -51,7 +51,8 @@ int main() {
         p.scheme = s;
         p.eager_exclusive_reply = eager;
         dsm::Machine m(p);
-        workload::TraceRunner runner(m, trace);
+        workload::TraceSource src(trace);
+        workload::StreamRunner runner(m, src);
         const auto r = runner.run();
         if (!r.completed) {
           std::fprintf(stderr, "replay failed\n");

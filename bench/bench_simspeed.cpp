@@ -33,7 +33,7 @@
 // of each rate counter, which is what lands in --metrics-json; use it on
 // noisy boxes where one run can catch a scheduling hiccup.
 //
-// --metrics-json= writes one trajectory point: {"label", "mode", "cpus",
+// --metrics-json= writes one trajectory point: {"label", "cpus",
 // "results": [{name, sim_cycles_per_sec, flit_hops_per_sec}]}.  Points are
 // accumulated by hand in BENCH_simspeed.json (see README "Simulator
 // throughput"); check_simspeed.py compares the newest point against the
@@ -306,7 +306,7 @@ void BM_Svc(benchmark::State& state, int mesh_k) {
   const auto src = workload::make_generator(cfg, m.network().mesh());
   workload::StreamRunnerOptions opt;
   opt.windowed = false;  // measure the engine, not the stats layer
-  opt.outstanding = 4;   // implies service mode
+  opt.outstanding = 4;
   std::uint64_t cycles = 0, hops = 0;
   bool first = true;
   for (auto _ : state) {
@@ -367,13 +367,8 @@ bool write_point_json(const std::string& path, const std::string& label,
                       const std::vector<CapturingReporter::Row>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  const char* mode = std::getenv("MDW_FULL_SWEEP") != nullptr &&
-                             *std::getenv("MDW_FULL_SWEEP") != '0'
-                         ? "full_sweep"
-                         : "active_region";
   std::fprintf(f, "{\n  \"schema\": \"mdw.bench_simspeed.v1\",\n");
-  std::fprintf(f, "  \"label\": \"%s\",\n  \"mode\": \"%s\",\n", label.c_str(),
-               mode);
+  std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
   std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -11,7 +11,7 @@
 
 #include "analysis/table.h"
 #include "workload/apps.h"
-#include "workload/trace_runner.h"
+#include "workload/stream_runner.h"
 
 using namespace mdw;
 
@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
     p.mesh_w = p.mesh_h = 4;
     p.scheme = s;
     dsm::Machine m(p);
-    workload::TraceRunner runner(m, trace);
+    workload::TraceSource src(trace);
+    workload::StreamRunner runner(m, src);
     const auto r = runner.run();
     if (!r.completed) {
       std::fprintf(stderr, "replay did not complete\n");

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: clean build + tier-1 tests, a Release build with
-# bench_simspeed + mdw_workload + mdw_service smokes (catches perf-path
-# code that only breaks under -O2; the service smoke asserts coalescing
-# actually fires), a build of the perfbench benchmark binary with one short
+# bench_simspeed + mdw_workload smokes (catches perf-path code that only
+# breaks under -O2; the service-layer smoke asserts coalescing actually
+# fires), a build of the perfbench benchmark binary with one short
 # traced paper-grids run (it compiles against src/ headers directly, so an
 # API change that breaks it shows here), a rebuild of the observability +
 # service tests under ASan/UBSan, a UBSan-only build running the complete
@@ -29,16 +29,16 @@ cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
 echo
-echo "=== release: -O3 build + bench_simspeed + mdw_workload + mdw_service smoke (${REL_BUILD}) ==="
+echo "=== release: -O3 build + bench_simspeed + mdw_workload smokes (${REL_BUILD}) ==="
 cmake -B "$REL_BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$REL_BUILD" -j "$JOBS" \
-    --target bench_simspeed test_determinism mdw_workload_cli mdw_service_cli
+    --target bench_simspeed test_determinism mdw_workload_cli
 "$REL_BUILD"/tests/test_determinism
 "$REL_BUILD"/src/workload/mdw_workload --gen=zipfian --mesh=8x8 \
     --ops=20000 --blocks=256 --warmup=1024
 # Service layer: pipelined + coalescing home on a write-heavy stream; the
 # run must complete AND actually merge transactions (--require-coalesce).
-"$REL_BUILD"/src/svc/mdw_service --mesh=16x16 --gen=write-heavy \
+"$REL_BUILD"/src/workload/mdw_workload --mesh=16x16 --gen=write-heavy \
     --ops=50000 --blocks=512 --outstanding=4 --depth=8 --coalesce=32 \
     --require-coalesce
 "$REL_BUILD"/bench/bench_simspeed --benchmark_min_time=0.05 \

@@ -117,6 +117,9 @@ InvalMeasurement measure_invalidations(const InvalExperimentConfig& cfg) {
 }
 
 HotspotMeasurement measure_hotspot(const HotspotConfig& cfg) {
+  // Each round draws distinct homes and distinct writers, no writer its own
+  // home: with at most n - 1 transactions every draw has a free node.
+  assert(cfg.concurrent >= 1 && cfg.concurrent <= cfg.mesh * cfg.mesh - 1);
   dsm::SystemParams p = cfg.base;
   p.mesh_w = p.mesh_h = cfg.mesh;
   p.scheme = cfg.scheme;

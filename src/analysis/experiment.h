@@ -48,7 +48,8 @@ struct HotspotConfig {
   int mesh = 16;
   core::Scheme scheme = core::Scheme::UiUa;
   int d = 16;              // sharers per block
-  int concurrent = 8;      // simultaneous transactions (distinct homes)
+  int concurrent = 8;      // simultaneous transactions (distinct homes),
+                           // 1 .. mesh^2 - 1
   int rounds = 5;
   std::uint64_t seed = 1;
   dsm::SystemParams base{};

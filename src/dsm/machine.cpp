@@ -9,8 +9,8 @@ namespace mdw::dsm {
 namespace {
 
 /// MDW_NO_MEMO=1 disables the plan and route caches (DESIGN.md §12)
-/// without a params change — the differential escape hatch mirroring
-/// MDW_FULL_SWEEP, for verifying that memoization never alters results.
+/// without a params change — the differential escape hatch for verifying
+/// that memoization never alters results.
 bool memo_disabled() {
   const char* e = std::getenv("MDW_NO_MEMO");
   return e != nullptr && *e != '0';

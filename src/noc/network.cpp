@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -33,9 +32,7 @@ Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& param
   metrics_ = metrics;
   stats_.worm_latency.bind(&metrics_->histogram("worm_latency", 0.0, 16.0, 256));
   const int n = mesh_.num_nodes();
-  const char* sweep_env = std::getenv("MDW_FULL_SWEEP");
-  full_sweep_ =
-      params_.full_sweep || (sweep_env != nullptr && *sweep_env != '0');
+  full_sweep_ = params_.full_sweep;
   arena_.init(n, params_.vcs_total(), params_.inj_vcs_total(),
               params_.vc_buffer_flits, params_.consumption_channels,
               params_.cons_buffer_flits);

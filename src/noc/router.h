@@ -63,10 +63,10 @@ struct NocParams {
   /// routing is deterministic, so results are bit-identical at any setting.
   int route_cache_entries = 4096;
 
-  /// Differential-testing escape hatch: tick every router every cycle (the
-  /// original O(W*H) sweep) instead of only the active-region worklist.
-  /// Also enabled by the MDW_FULL_SWEEP environment variable.  Both modes
-  /// produce bit-identical simulations; see DESIGN.md "Scheduling model".
+  /// Differential-testing reference: tick every router every cycle (the
+  /// original O(W*H) sweep) instead of only the active region.  Both modes
+  /// produce bit-identical simulations (tests/test_determinism.cpp compares
+  /// them); see DESIGN.md "Scheduling model".
   bool full_sweep = false;
 
   [[nodiscard]] int vcs_total() const { return kNumVNets * vcs_per_vnet; }

@@ -1,5 +1,5 @@
-// Strict command-line flag parsing shared by the mdw_workload, mdw_service
-// and mdw_sweep CLIs.
+// Strict command-line flag parsing shared by the mdw_workload and mdw_sweep
+// CLIs.
 //
 // A numeric flag value must parse as a whole and fit its destination type:
 // "--seed=xyz", "--think=12abc", "--coalesce=-1" (into an unsigned field) or

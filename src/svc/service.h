@@ -9,10 +9,10 @@
 // full), but per-block program order is preserved, which is exactly the
 // serialization the directory's `Waiting` state enforces machine-wide.
 //
-// Sessions are passive: they never run the engine.  A harness (StreamRunner
-// in service mode, mdw_service, tests) issues ops from engine context (or
-// before the first run) and advances time itself; completions fire inside
-// engine events.
+// Sessions are passive: they never run the engine.  A harness (StreamRunner,
+// which gives every processor one, or a test) issues ops from engine context
+// (or before the first run) and advances time itself; completions fire
+// inside engine events.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,8 @@ namespace mdw::svc {
 using Ticket = std::uint64_t;
 
 struct SessionOptions {
-  /// Client window: ops the session keeps in flight at once.  1 reproduces
-  /// the classic blocking processor (the fingerprint-identity baseline).
+  /// Client window: ops the session keeps in flight at once.  1 is the
+  /// blocking processor.
   int max_outstanding = 4;
 };
 

@@ -47,7 +47,8 @@ void usage(const char* argv0) {
       "  --gen-ops=N          stream ops per processor (default 200)\n"
       "  --gen-warmup=N       stream warmup accesses (default 2048)\n"
       "  --gen-blocks=N       stream shared-block pool size (default 512)\n"
-      "  --concurrent=N,...   concurrent transactions; 0 = isolated (default)\n"
+      "  --concurrent=N,...   concurrent transactions; 0 = isolated (default),\n"
+      "                       at most k*k - 1\n"
       "  --rounds=N           hot-spot rounds (default 3)\n"
       "  --reps=N             repetitions per point (default 8)\n"
       "  --seed=S             base seed for per-point SplitMix64 derivation\n"
@@ -74,11 +75,16 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// A comma-separated list of integers, each at least `min`.
 std::vector<int> parse_int_list(const cli::FlagParser& cli, const char* flag,
-                                const std::string& val) {
+                                const std::string& val, int min) {
   std::vector<int> out;
   for (const std::string& tok : split_csv(val)) {
     cli.number(flag, tok, out.emplace_back());
+    if (out.back() < min) {
+      cli.die(std::string(flag) + " values must be >= " +
+              std::to_string(min) + " (got " + tok + ")");
+    }
   }
   return out;
 }
@@ -133,10 +139,10 @@ CliOptions parse_cli(int argc, char** argv) {
       }
     } else if (cli.flag(a, "--mesh", v)) {
       has_axes = true;
-      grid.meshes = parse_int_list(cli, "--mesh", v);
+      grid.meshes = parse_int_list(cli, "--mesh", v, 1);
     } else if (cli.flag(a, "--d", v)) {
       has_axes = true;
-      grid.sharers = parse_int_list(cli, "--d", v);
+      grid.sharers = parse_int_list(cli, "--d", v, 0);
     } else if (cli.flag(a, "--pattern", v)) {
       has_axes = true;
       grid.patterns.clear();
@@ -165,7 +171,7 @@ CliOptions parse_cli(int argc, char** argv) {
       has_axes = true;
     } else if (cli.flag(a, "--concurrent", v)) {
       has_axes = true;
-      grid.concurrency = parse_int_list(cli, "--concurrent", v);
+      grid.concurrency = parse_int_list(cli, "--concurrent", v, 0);
     } else if (cli.flag(a, "--reps", grid.repetitions)) {
       has_axes = true;
       if (grid.repetitions <= 0) cli.die("--reps must be positive");
@@ -188,6 +194,9 @@ CliOptions parse_cli(int argc, char** argv) {
   if (named && has_axes) {
     cli.die("a named grid cannot be combined with inline axis options");
   }
+  if (grid.rounds <= 0) cli.die("--rounds must be positive");
+  if (grid.gen_ops_per_proc == 0) cli.die("--gen-ops must be positive");
+  if (grid.gen_blocks == 0) cli.die("--gen-blocks must be positive");
 
   if (!named) {
     // Row axis: the axis that actually varies (gens > concurrency > mesh
@@ -246,21 +255,29 @@ int main(int argc, char** argv) {
   // controlled-invalidation point needs d sharers besides the home and the
   // writer, whichever node writes: at most n - 2 scattered over the mesh,
   // k - 2 on the home's row or column.  Hot-spot points place their sharers
-  // uniformly whatever the pattern axis says.
+  // uniformly whatever the pattern axis says, and their concurrent
+  // transactions need distinct homes and distinct writers, no writer its
+  // own home: at most n - 1 of them.
+  const cli::FlagParser cli(argv[0], usage);
   for (const sweep::SweepPoint& pt : points) {
     if (pt.gen != workload::GenKind::None) continue;
+    const std::string k = std::to_string(pt.mesh);
+    if (pt.concurrent > pt.mesh * pt.mesh - 1) {
+      cli.die("--concurrent " + std::to_string(pt.concurrent) + " on a " +
+              k + "x" + k + " mesh is above the " +
+              std::to_string(pt.mesh * pt.mesh - 1) +
+              " transactions with distinct homes and writers it can place");
+    }
     const workload::SharerPattern pattern =
         pt.concurrent > 0 ? workload::SharerPattern::Uniform : pt.pattern;
     const bool line = pattern == workload::SharerPattern::SameRow ||
                       pattern == workload::SharerPattern::SameColumn;
     const int limit = std::max(0, line ? pt.mesh - 2 : pt.mesh * pt.mesh - 2);
     if (pt.d > limit) {
-      const std::string k = std::to_string(pt.mesh);
-      cli::FlagParser(argv[0], usage)
-          .die("--d resolves to " + std::to_string(pt.d) + " on a " + k +
-               "x" + k + " mesh, above the " + std::to_string(limit) +
-               " sharers pattern " + workload::pattern_name(pattern) +
-               " can hold there");
+      cli.die("--d resolves to " + std::to_string(pt.d) + " on a " + k + "x" +
+              k + " mesh, above the " + std::to_string(limit) +
+              " sharers pattern " + workload::pattern_name(pattern) +
+              " can hold there");
     }
   }
 

@@ -40,8 +40,8 @@ PointResult run_stream_point(const SweepPoint& pt,
   workload::StreamRunnerOptions opt;
   opt.warmup_accesses = pt.gen_warmup;
   // For streaming points the concurrency axis is the CLIENT load knob:
-  // ops each processor keeps in flight through its svc::Session (0 keeps
-  // the classic blocking loop).  Hot-spot semantics apply only to
+  // ops each processor keeps in flight through its svc::Session (0 runs the
+  // blocking processor, a window of 1).  Hot-spot semantics apply only to
   // gen == None points.
   opt.outstanding = pt.concurrent > 0 ? pt.concurrent : 1;
   workload::StreamRunner runner(m, *src, opt);

@@ -5,8 +5,8 @@
 // logical processors exactly as the parallel version would be, and records
 // the shared-memory block accesses each processor performs (plus the
 // barriers separating phases).  The returned trace is replayed by
-// TraceRunner; the computation's numerical result is returned for
-// validation by the test suite.
+// StreamRunner through a TraceSource; the computation's numerical result is
+// returned for validation by the test suite.
 #pragma once
 
 #include <cstdint>

@@ -1,17 +1,25 @@
 // mdw_workload — drive a streaming workload (synthetic generator, recorded
 // app kernel, or saved binary trace) through the cycle-level machine and
-// report steady-state windowed statistics.
+// report steady-state windowed statistics plus the home-side service-layer
+// picture (invalidation queueing, pipeline occupancy, coalescing).
 //
 //   mdw_workload --gen=zipfian --mesh=32x32            # 1M-access stream
 //   mdw_workload --gen=producer-consumer --scheme=EC-CM-HG --ops=200000
 //   mdw_workload --app=barnes --save-trace=barnes.mdwt # record to binary
 //   mdw_workload --load-trace=barnes.mdwt --mesh=8x8   # replay it
+//   mdw_workload --gen=write-heavy --outstanding=4 --depth=4 --coalesce=32
 //
 // --ops is the TOTAL access budget: each of the k*k logical processors
 // streams ceil(ops / k^2) operations, so the default one million coherence
-// transactions holds at any mesh size.  All randomness derives from --seed
-// via SplitMix64 sub-streams (sim::split_seed); two runs with identical
-// flags produce identical machines, streams, and statistics.
+// transactions holds at any mesh size.  --outstanding is each processor's
+// window of in-flight accesses (1: the blocking processor); --depth caps
+// concurrent invalidation transactions per home (0 = unbounded); --coalesce
+// holds an admitted invalidation up to N cycles so back-to-back writes
+// hitting the same home merge into one multidestination worm wave.  All
+// randomness derives from --seed via SplitMix64 sub-streams
+// (sim::split_seed); two runs with identical flags produce identical
+// machines, streams, and statistics.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +68,16 @@ void usage(const char* argv0) {
       "  --max-cycles=N      cycle budget (default 2000000000)\n"
       "  --seed=S            base seed (default 1)\n"
       "\n"
+      "service layer:\n"
+      "  --outstanding=N     accesses each processor keeps in flight\n"
+      "                      (default 1: the blocking processor)\n"
+      "  --depth=K           per-home invalidation pipeline depth\n"
+      "                      (0 = unbounded, 1 = serialized; default 0)\n"
+      "  --coalesce=W        coalescing window, cycles (0 = off; default 0;\n"
+      "                      ineffective at --depth=1)\n"
+      "  --require-coalesce  exit nonzero unless at least one merged\n"
+      "                      transaction was launched (CI smoke)\n"
+      "\n"
       "output:\n"
       "  --save-trace=PATH   materialize the workload to a binary trace and\n"
       "                      exit (no simulation)\n"
@@ -75,8 +93,10 @@ struct Options {
   std::uint64_t total_ops = 1'000'000;
   int mesh_w = 16, mesh_h = 16;
   core::Scheme scheme = core::Scheme::UiUa;
+  dsm::SvcParams svc;
   workload::StreamRunnerOptions run;
   bool print_windows = true;
+  bool require_coalesce = false;
 };
 
 Options parse_cli(int argc, char** argv) {
@@ -92,6 +112,7 @@ Options parse_cli(int argc, char** argv) {
     if (cli.flag(a, "--load-trace", opt.load_trace) ||
         cli.flag(a, "--save-trace", opt.save_trace) ||
         cli.flag(a, "--metrics-json", opt.metrics_json) ||
+        cli.flag(a, "--coalesce", opt.svc.coalesce_window) ||
         cli.flag(a, "--alpha", opt.gen.zipf_alpha) ||
         cli.flag(a, "--seed", opt.gen.seed) ||
         cli.flag(a, "--think", opt.run.think) ||
@@ -99,7 +120,13 @@ Options parse_cli(int argc, char** argv) {
         cli.flag(a, "--max-cycles", opt.run.max_cycles)) {
       continue;
     }
-    if (cli.flag(a, "--gen", v)) {
+    if (cli.flag(a, "--outstanding", opt.run.outstanding)) {
+      if (opt.run.outstanding <= 0) cli.die("--outstanding must be positive");
+    } else if (cli.flag(a, "--depth", opt.svc.pipeline_depth)) {
+      if (opt.svc.pipeline_depth < 0) cli.die("--depth must be >= 0");
+    } else if (a == "--require-coalesce") {
+      opt.require_coalesce = true;
+    } else if (cli.flag(a, "--gen", v)) {
       if (!workload::gen_from_name(v, opt.gen.kind)) {
         cli.die("unknown generator '" + v + "'");
       }
@@ -229,12 +256,16 @@ int main(int argc, char** argv) {
   params.mesh_w = opt.mesh_w;
   params.mesh_h = opt.mesh_h;
   params.scheme = opt.scheme;
+  params.svc = opt.svc;
   obs::MetricsRegistry registry;
   dsm::Machine machine(params, &registry);
 
-  std::printf("mdw_workload: %s on %dx%d mesh, scheme %s, %d procs\n",
+  std::printf("mdw_workload: %s on %dx%d mesh, scheme %s, %d procs, "
+              "outstanding %d, depth %d, coalesce %" PRIu64 "\n",
               label.c_str(), opt.mesh_w, opt.mesh_h,
-              std::string(core::scheme_name(opt.scheme)).c_str(), nprocs);
+              std::string(core::scheme_name(opt.scheme)).c_str(), nprocs,
+              opt.run.outstanding, opt.svc.pipeline_depth,
+              static_cast<std::uint64_t>(opt.svc.coalesce_window));
 
   workload::StreamRunner runner(machine, *src, opt.run);
   const workload::StreamResult r = runner.run();
@@ -262,6 +293,29 @@ int main(int argc, char** argv) {
               "p99 %.1f cycles\n",
               r.lat_mean, r.lat_p50, r.lat_p90, r.lat_p99);
 
+  // Home-side service-layer picture, aggregated over every node.
+  std::uint64_t enq = 0, wait = 0, qpeak = 0, ppeak = 0, groups = 0,
+                coalesced = 0, occ_peak = 0;
+  for (NodeId id = 0; id < machine.num_nodes(); ++id) {
+    const dsm::NodeStats& ns = machine.node(id).stats();
+    enq += ns.svc_enqueued;
+    wait += ns.svc_queue_wait_cycles;
+    qpeak = std::max(qpeak, ns.svc_queue_peak);
+    ppeak = std::max(ppeak, ns.svc_pipeline_peak);
+    groups += ns.svc_groups;
+    coalesced += ns.svc_coalesced_txns;
+    occ_peak = std::max(occ_peak, ns.occupancy_cycles);
+  }
+  std::printf("\nservice layer (per-home pipeline + coalescing):\n");
+  std::printf("  queued invals: %" PRIu64 "  (total wait %" PRIu64
+              " cycles, queue peak %" PRIu64 ")\n",
+              enq, wait, qpeak);
+  std::printf("  pipeline occupancy peak: %" PRIu64 "\n", ppeak);
+  std::printf("  merged launches: %" PRIu64 "  covering %" PRIu64
+              " member txns\n",
+              groups, coalesced);
+  std::printf("  peak home occupancy: %" PRIu64 " cycles\n", occ_peak);
+
   if (opt.print_windows && !r.windows.empty()) {
     std::printf("\n%12s %10s %10s %10s %8s %8s %8s %8s\n", "window", "cycles",
                 "accesses", "invals", "lat", "p50", "p90", "p99");
@@ -282,6 +336,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("\nwrote metrics to %s\n", opt.metrics_json.c_str());
+  }
+
+  if (opt.require_coalesce && groups == 0) {
+    std::fprintf(stderr,
+                 "--require-coalesce: no merged transactions were launched\n");
+    return 1;
   }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "workload/stream_runner.h"
 
 #include <cassert>
+#include <sstream>
 
 namespace mdw::workload {
 
@@ -8,23 +9,18 @@ StreamRunner::StreamRunner(dsm::Machine& m, StreamSource& src,
                            StreamRunnerOptions opt)
     : m_(m), src_(src), opt_(opt),
       win_(0, opt.window_cycles),
-      prog_(static_cast<std::size_t>(src.nprocs())) {
+      prog_(static_cast<std::size_t>(src.nprocs())),
+      procs_(static_cast<std::size_t>(src.nprocs())) {
   assert(src.nprocs() > 0);
   assert(src.nprocs() <= m.num_nodes());
-  if (opt_.outstanding > 1) opt_.use_service = true;
   assert(opt_.outstanding >= 1);
   warmup_done_ = opt_.warmup_accesses == 0;
-  if (opt_.use_service) {
-    sstate_.resize(prog_.size());
-    sessions_.reserve(prog_.size());
-    for (int p = 0; p < src.nprocs(); ++p) {
-      svc::SessionOptions so;
-      so.max_outstanding = opt_.outstanding;
-      auto s = std::make_unique<svc::Session>(m_, static_cast<NodeId>(p), so);
-      s->set_on_complete(
-          [this, p](const svc::OpResult&) { svc_on_done(p); });
-      sessions_.push_back(std::move(s));
-    }
+  for (int p = 0; p < src.nprocs(); ++p) {
+    auto& s = procs_[static_cast<std::size_t>(p)].session;
+    s = std::make_unique<svc::Session>(
+        m_, static_cast<NodeId>(p),
+        svc::SessionOptions{.max_outstanding = opt_.outstanding});
+    s->set_on_complete([this, p](const svc::OpResult&) { on_done(p); });
   }
 }
 
@@ -39,6 +35,34 @@ std::string StreamResult::describe_stop(Cycle max_cycles) const {
            " accesses in flight";
   }
   return "run exhausted the " + std::to_string(max_cycles) + "-cycle budget";
+}
+
+std::string StreamResult::describe_stalls() const {
+  if (completed) return {};
+  std::ostringstream os;
+  bool first = true;
+  for (std::size_t p = 0; p < procs.size(); ++p) {
+    const ProcProgress& pp = procs[p];
+    if (pp.done) continue;
+    if (!first) os << "; ";
+    first = false;
+    os << "proc " << p << ": " << pp.ops_retired << " ops";
+    if (pp.at_barrier) os << ", at barrier " << pp.barrier_id;
+    else os << ", in flight";
+  }
+  bool label_pending = true;
+  for (std::size_t h = 0; h < home_queue_depths.size(); ++h) {
+    if (home_queue_depths[h] == 0) continue;
+    if (label_pending) {
+      if (!first) os << "; ";
+      os << "home queues:";
+      label_pending = false;
+    } else {
+      os << ",";
+    }
+    os << " node " << h << "=" << home_queue_depths[h];
+  }
+  return os.str();
 }
 
 StreamResult StreamRunner::run() {
@@ -58,10 +82,8 @@ StreamResult StreamRunner::run() {
   for (int p = 0; p < n; ++p) {
     // Stagger the very first issue slightly so node 0 doesn't always win
     // arbitration at cycle 0.
-    m_.engine().schedule_after(static_cast<Cycle>(p % 4), [this, p] {
-      if (opt_.use_service) fill(p);
-      else step(p);
-    });
+    m_.engine().schedule_after(static_cast<Cycle>(p % 4),
+                               [this, p] { fill(p); });
   }
   StreamResult r;
   const Cycle t0 = m_.engine().now();
@@ -118,63 +140,14 @@ void StreamRunner::snapshot_metrics(obs::MetricsRegistry& reg) const {
   win_.snapshot_into(reg, end_cycle_);
 }
 
-void StreamRunner::note_access_done() {
-  ++completed_accesses_;
-  if (!opt_.windowed) return;
-  if (!warmup_done_) {
-    if (completed_accesses_ >= opt_.warmup_accesses) {
-      warmup_done_ = true;
-      win_.set_warmup_end(m_.engine().now());
-    }
-  } else {
-    win_.record_access(m_.engine().now());
-  }
-}
-
-void StreamRunner::step(int proc) {
-  TraceOp op;
-  if (!src_.next(proc, op)) {
-    prog_[static_cast<std::size_t>(proc)].done = true;
-    ++done_procs_;
-    return;
-  }
-  ++prog_[static_cast<std::size_t>(proc)].ops_retired;
-  switch (op.kind) {
-    case OpKind::Read:
-      ++accesses_;
-      m_.node(proc).read(op.addr,
-                         [this, proc](std::uint64_t) { on_access_done(proc); });
-      break;
-    case OpKind::Write:
-      ++accesses_;
-      m_.node(proc).write(op.addr, m_.engine().now(),
-                          [this, proc] { on_access_done(proc); });
-      break;
-    case OpKind::Think:
-      m_.engine().schedule_after(op.arg, [this, proc] { step(proc); });
-      break;
-    case OpKind::Barrier:
-      reach_barrier(proc, op.arg);
-      break;
-  }
-}
-
-void StreamRunner::on_access_done(int proc) {
-  note_access_done();
-  m_.engine().schedule_after(opt_.think, [this, proc] { step(proc); });
-}
-
-// --------------------------------------------------------------------------
-// Service mode: each proc keeps `outstanding` ops in flight through its
-// svc::Session; one completion plus one think time re-fills the freed slot.
-// With outstanding == 1 the issue/complete/think schedule is identical to
-// the classic step/on_access_done loop (pinned in test_determinism).
-// --------------------------------------------------------------------------
+// Each proc keeps `outstanding` ops in flight through its svc::Session; one
+// completion plus one think time re-fills the freed slot.  With
+// outstanding == 1 this is the blocking issue / complete / think loop.
 
 void StreamRunner::fill(int proc) {
   auto& pp = prog_[static_cast<std::size_t>(proc)];
-  auto& ps = sstate_[static_cast<std::size_t>(proc)];
-  if (pp.done || ps.at_barrier_wait) return;
+  Proc& ps = procs_[static_cast<std::size_t>(proc)];
+  if (pp.done || ps.draining) return;
   while (ps.inflight < opt_.outstanding) {
     TraceOp op;
     if (!src_.next(proc, op)) {
@@ -190,36 +163,45 @@ void StreamRunner::fill(int proc) {
       case OpKind::Read:
         ++accesses_;
         ++ps.inflight;
-        (void)sessions_[static_cast<std::size_t>(proc)]->read(op.addr);
+        (void)ps.session->read(op.addr);
         break;
       case OpKind::Write:
         ++accesses_;
         ++ps.inflight;
-        (void)sessions_[static_cast<std::size_t>(proc)]->write(
-            op.addr, m_.engine().now());
+        (void)ps.session->write(op.addr, m_.engine().now());
         break;
       case OpKind::Think:
         // The think gates further ISSUE only; in-flight ops keep going.
         m_.engine().schedule_after(op.arg, [this, proc] { fill(proc); });
         return;
       case OpKind::Barrier:
-        ps.at_barrier_wait = true;
-        ps.barrier_id = op.arg;
+        ps.draining = true;
+        pp.barrier_id = op.arg;
         // Barrier semantics: arrive only once the window drains.
-        if (ps.inflight == 0) reach_barrier(proc, op.arg);
+        if (ps.inflight == 0) reach_barrier(proc);
         return;
     }
   }
 }
 
-void StreamRunner::svc_on_done(int proc) {
+void StreamRunner::on_done(int proc) {
   auto& pp = prog_[static_cast<std::size_t>(proc)];
-  auto& ps = sstate_[static_cast<std::size_t>(proc)];
+  Proc& ps = procs_[static_cast<std::size_t>(proc)];
   --ps.inflight;
   assert(ps.inflight >= 0);
-  note_access_done();
-  if (ps.at_barrier_wait) {
-    if (ps.inflight == 0) reach_barrier(proc, ps.barrier_id);
+  ++completed_accesses_;
+  if (opt_.windowed) {
+    if (!warmup_done_) {
+      if (completed_accesses_ >= opt_.warmup_accesses) {
+        warmup_done_ = true;
+        win_.set_warmup_end(m_.engine().now());
+      }
+    } else {
+      win_.record_access(m_.engine().now());
+    }
+  }
+  if (ps.draining) {
+    if (ps.inflight == 0) reach_barrier(proc);
     return;
   }
   if (ps.exhausted) {
@@ -232,20 +214,10 @@ void StreamRunner::svc_on_done(int proc) {
   m_.engine().schedule_after(opt_.think, [this, proc] { fill(proc); });
 }
 
-void StreamRunner::resume(int proc) {
-  if (opt_.use_service) {
-    sstate_[static_cast<std::size_t>(proc)].at_barrier_wait = false;
-    fill(proc);
-  } else {
-    step(proc);
-  }
-}
-
-void StreamRunner::reach_barrier(int proc, std::uint32_t id) {
-  assert(id == barrier_id_);
+void StreamRunner::reach_barrier(int proc) {
   auto& pp = prog_[static_cast<std::size_t>(proc)];
+  assert(pp.barrier_id == barrier_id_);
   pp.at_barrier = true;
-  pp.barrier_id = id;
   if (++barrier_waiting_ < src_.nprocs()) return;
   // Everyone arrived: release.  (The paper's focus is the invalidation
   // machinery; the barrier itself is idealized — see DESIGN.md.)
@@ -253,7 +225,10 @@ void StreamRunner::reach_barrier(int proc, std::uint32_t id) {
   ++barrier_id_;
   for (int p = 0; p < src_.nprocs(); ++p) {
     prog_[static_cast<std::size_t>(p)].at_barrier = false;
-    m_.engine().schedule_after(1, [this, p] { resume(p); });
+    m_.engine().schedule_after(1, [this, p] {
+      procs_[static_cast<std::size_t>(p)].draining = false;
+      fill(p);
+    });
   }
 }
 

@@ -1,8 +1,10 @@
-// Replays a StreamSource on a dsm::Machine at scale: one logical processor
-// per node, sequentially-consistent issue, centralized barriers — the same
-// replay semantics as the original TraceRunner (which is now a thin wrapper
-// over this class) — plus a warmup cutoff and windowed steady-state
-// statistics for multi-million-transaction runs.
+// Replays a StreamSource on a dsm::Machine at scale: processor p runs on
+// mesh node p and issues through its own svc::Session, keeping up to
+// `outstanding` accesses in flight; barriers are centralized.  A window of
+// 1 (the default) is the paper's blocking, sequentially-consistent
+// processor.  A warmup cutoff and windowed steady-state statistics serve
+// multi-million-transaction runs; recorded traces replay through
+// TraceSource.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +16,6 @@
 #include "obs/windowed.h"
 #include "svc/service.h"
 #include "workload/stream.h"
-#include "workload/trace_runner.h"
 
 namespace mdw::workload {
 
@@ -32,22 +33,39 @@ struct StreamRunnerOptions {
   /// with per-proc progress for diagnosis.
   Cycle max_cycles = 2'000'000'000;
   /// Collect windowed stats (the txn observer + per-access bookkeeping).
-  /// TraceRunner turns this off to stay a pure replay.
+  /// Off for a pure replay.
   bool windowed = true;
-  /// Drive each processor through a svc::Session (the async coherence
-  /// service API) instead of the classic blocking read/write path.  With
-  /// outstanding == 1 the two paths are fingerprint-identical (pinned in
-  /// test_determinism); outstanding > 1 implies service mode.
-  bool use_service = false;
-  /// Ops each processor keeps in flight (closed loop: a completion plus
-  /// one think time re-fills the window).  Values > 1 require service mode
-  /// and are the load knob of EXPERIMENTS.md E11s.
+  /// Ops each processor keeps in flight through its session (closed loop:
+  /// a completion plus one think time re-fills the window).  1 is the
+  /// blocking processor; larger values are the load knob of
+  /// EXPERIMENTS.md E11s.
   int outstanding = 1;
 };
 
-/// RunResult plus the steady-state view.  Throughputs are normalized per
-/// 1000 simulated cycles ("kcycle") so they are mesh- and length-comparable.
-struct StreamResult : RunResult {
+/// Per-processor replay progress, filled in on every run (diagnoses
+/// timeouts: which procs finished, which are parked at a barrier, which
+/// are stuck mid-access).
+struct ProcProgress {
+  std::size_t ops_retired = 0;   // ops pulled and dispatched
+  bool done = false;             // stream exhausted
+  bool at_barrier = false;       // parked waiting on the barrier below
+  std::uint32_t barrier_id = 0;  // valid when at_barrier
+};
+
+/// A run's outcome and its steady-state view.  Throughputs are normalized
+/// per 1000 simulated cycles ("kcycle") so they are mesh- and
+/// length-comparable.
+struct StreamResult {
+  Cycle cycles = 0;              // total execution time
+  std::size_t accesses = 0;      // reads + writes issued
+  bool completed = false;
+  std::vector<ProcProgress> procs;  // per-proc progress (timeout diagnosis)
+  /// Per-home service-layer invalidation queue depth (index = node id),
+  /// sampled at the moment the run stopped; empty for completed runs.  A
+  /// stall with deep home queues points at invalidation backpressure
+  /// (pipeline_depth too small for the offered load), one with empty
+  /// queues at the protocol or the network.
+  std::vector<std::size_t> home_queue_depths;
   /// Why an incomplete run stopped: the event queue drained with accesses
   /// still in flight (nothing left to run: a hang), rather than the cycle
   /// budget running out.  Always false for a completed run.
@@ -70,6 +88,11 @@ struct StreamResult : RunResult {
   /// drained at cycle N with M accesses in flight", or "run exhausted the
   /// <max_cycles>-cycle budget".
   [[nodiscard]] std::string describe_stop(Cycle max_cycles) const;
+
+  /// One-line summary of stuck processors ("proc 3: 17 ops, at barrier 2;
+  /// ..."), plus any non-empty per-home invalidation queues; empty when
+  /// every processor completed.
+  [[nodiscard]] std::string describe_stalls() const;
 };
 
 class StreamRunner {
@@ -90,21 +113,19 @@ public:
   void snapshot_metrics(obs::MetricsRegistry& reg) const;
 
 private:
-  void step(int proc);
-  void fill(int proc);  // service-mode issue loop: keep the window full
-  /// Count one completed access toward warmup or the steady-state windows.
-  void note_access_done();
-  void on_access_done(int proc);
-  void svc_on_done(int proc);
-  void reach_barrier(int proc, std::uint32_t id);
-  void resume(int proc);  // barrier release -> step or fill by mode
+  /// Issue `proc`'s ops until its window is full, its stream runs dry, or
+  /// a think or barrier op stops issue.
+  void fill(int proc);
+  /// One of `proc`'s accesses completed (its session's callback).
+  void on_done(int proc);
+  void reach_barrier(int proc);
 
-  /// Per-proc closed-loop state for service mode.
-  struct SvcProcState {
-    int inflight = 0;          // ops handed to the session, not yet complete
-    bool exhausted = false;    // source returned false
-    bool at_barrier_wait = false;  // barrier pulled; draining the window
-    std::uint32_t barrier_id = 0;
+  /// One processor's closed loop.
+  struct Proc {
+    std::unique_ptr<svc::Session> session;
+    int inflight = 0;        // ops handed to the session, not yet complete
+    bool exhausted = false;  // the source returned false
+    bool draining = false;   // barrier pulled; waiting for the window to drain
   };
 
   dsm::Machine& m_;
@@ -112,8 +133,7 @@ private:
   StreamRunnerOptions opt_;
   obs::WindowedStats win_;
   std::vector<ProcProgress> prog_;
-  std::vector<std::unique_ptr<svc::Session>> sessions_;  // service mode only
-  std::vector<SvcProcState> sstate_;
+  std::vector<Proc> procs_;
   int done_procs_ = 0;
   int barrier_waiting_ = 0;
   std::uint32_t barrier_id_ = 0;

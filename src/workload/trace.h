@@ -5,7 +5,7 @@
 // running real implementations of those kernels (src/workload/*.cpp) under
 // an access recorder that emits one trace stream per logical processor,
 // with barrier synchronisation events; the streams are then replayed on the
-// cycle-level machine by TraceRunner.  Sharing and invalidation patterns —
+// cycle-level machine by StreamRunner through a TraceSource.  Sharing and invalidation patterns —
 // the only thing the paper's metrics depend on — are identical to an
 // execution-driven run; instruction time between accesses is abstracted to
 // a fixed think time (see DESIGN.md, substitutions).

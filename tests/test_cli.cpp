@@ -1,5 +1,5 @@
-// The CLIs' input validation: strict numeric flag parsing (sim/cli.h) in
-// mdw_workload, mdw_service and mdw_sweep, and mdw_workload's handling of
+// The CLIs' input validation: strict numeric flag parsing (sim/cli.h) and
+// range checks in mdw_workload and mdw_sweep, and mdw_workload's handling of
 // trace files the MDWT decoder rejects.  The end-to-end cases run the built
 // binaries and check their exit status and message.
 #include <gtest/gtest.h>
@@ -73,13 +73,16 @@ TEST(CliFlags, ParseMesh) {
 
 TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
   // Each case adds a tiny workload, so a CLI that wrongly accepted the flag
-  // would finish quickly (and exit 0 or 1, not 2).
+  // would finish quickly (and exit 0 or 1, not 2).  A hot-spot grid that
+  // cannot place its transactions used to spin forever, so those cases run
+  // under `timeout`: a hang fails the test (exit 124) instead of stalling it.
   const std::string workload =
       std::string("'") + MDW_WORKLOAD_BIN + "' --mesh=2x2 --ops=16 --warmup=0";
-  const std::string service =
-      std::string("'") + MDW_SERVICE_BIN + "' --mesh=2x2 --ops=16 --warmup=0";
   const std::string sweep = std::string("'") + MDW_SWEEP_BIN +
                             "' --schemes=UI-UA --mesh=4 --no-progress";
+  const std::string sweep1 =
+      std::string("'") + MDW_SWEEP_BIN +
+      "' --schemes=UI-UA --reps=1 --no-progress --jobs=1";
   const struct {
     std::string cmd;
     const char* flag;
@@ -88,9 +91,9 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
       {workload + " --think=12abc", "--think"},
       {workload + " --write-frac=7", "--write-frac"},
       {workload + " --blocks=-3", "--blocks"},
-      {service + " --coalesce=-1", "--coalesce"},
-      {service + " --max-cycles=abc", "--max-cycles"},
-      {service + " --outstanding=4x", "--outstanding"},
+      {workload + " --coalesce=-1", "--coalesce"},
+      {workload + " --max-cycles=abc", "--max-cycles"},
+      {workload + " --outstanding=4x", "--outstanding"},
       {sweep + " --d=2 --reps=abc", "--reps"},
       {sweep + " --d=2 --reps=0", "--reps"},
       {sweep + " --d=2x", "--d"},
@@ -98,6 +101,19 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
       {sweep + " --d=20", "--d"},
       {sweep + " --d=0 --pattern=same-row", "--d"},
       {sweep + " --mesh=16 --d=15 --pattern=same-column", "--d"},
+      // Values out of range, and hot-spot points the mesh cannot place.
+      {sweep1 + " --mesh=-3 --d=1", "--mesh"},
+      {sweep1 + " --mesh=4 --d=-1", "--d"},
+      {sweep1 + " --mesh=4 --d=2 --concurrent=-1", "--concurrent"},
+      {"timeout 10 " + sweep1 + " --mesh=2 --d=1 --concurrent=4 --rounds=3",
+       "--concurrent"},
+      {"timeout 10 " + sweep1 + " --mesh=2 --d=1 --concurrent=5 --rounds=3",
+       "--concurrent"},
+      {sweep1 + " --mesh=4 --d=2 --concurrent=2 --rounds=0", "--rounds"},
+      {sweep1 + " --mesh=4 --d=2 --concurrent=2 --rounds=-1", "--rounds"},
+      {sweep1 + " --gens=zipfian --mesh=4 --gen-blocks=0 --gen-ops=10",
+       "--gen-blocks"},
+      {sweep1 + " --gens=zipfian --mesh=4 --gen-ops=0", "--gen-ops"},
   };
   for (const auto& c : cases) {
     const CmdResult r = run(c.cmd);

@@ -6,9 +6,9 @@
 //      latency sums) across back-to-back runs.
 //   2. Scheduling equivalence: the active-region router worklist
 //      (Network's default) and the exhaustive full sweep (the
-//      NocParams::full_sweep / MDW_FULL_SWEEP escape hatch) are
-//      bit-identical — same latencies, flit-hops, and occupancy for every
-//      scheme, both for isolated transactions and under concurrency.
+//      NocParams::full_sweep reference mode) are bit-identical — same
+//      latencies, flit-hops, and occupancy for every scheme, both for
+//      isolated transactions and under concurrency.
 //
 // Every fingerprint also carries the routers' stall counters: the work-driven
 // tick skips allocation and traversal retries that cannot succeed and counts
@@ -281,7 +281,6 @@ Fingerprint run_contended(const ContendedCase& c, bool full_sweep,
   g.seed = 17;
   const auto src = workload::make_generator(g, m.network().mesh());
   workload::StreamRunnerOptions opt;
-  opt.use_service = true;
   opt.outstanding = 4;
   workload::StreamRunner runner(m, *src, opt);
   const workload::StreamResult r = runner.run();

@@ -28,6 +28,16 @@ dsm::SystemParams small_params(core::Scheme s) {
   return p;
 }
 
+/// Replay a materialized trace: processor i of the trace runs on node i.
+StreamResult replay(dsm::Machine& m, const Trace& t,
+                    Cycle max_cycles = 2'000'000'000) {
+  TraceSource src(t);
+  StreamRunnerOptions opt;
+  opt.max_cycles = max_cycles;
+  StreamRunner runner(m, src, opt);
+  return runner.run();
+}
+
 GenConfig small_config(GenKind kind, std::uint64_t seed = 9) {
   GenConfig cfg;
   cfg.kind = kind;
@@ -377,7 +387,7 @@ TEST(BinaryTrace, EverySingleBitFlipFailsCleanlyOrRoundTrips) {
     dsm::SystemParams p = small_params(core::Scheme::EcCmHg);
     p.mesh_w = p.mesh_h = k;
     dsm::Machine m(p);
-    (void)TraceRunner(m, t).run(1'000'000);
+    (void)replay(m, t, 1'000'000);
   }
   EXPECT_GT(decoded, 0);  // some flips (addresses, think times) stay valid
 }
@@ -395,19 +405,19 @@ TEST(BinaryTrace, FileRoundTripAndLoadedReplayFingerprint) {
   expect_traces_equal(t, loaded);
 
   dsm::Machine orig(small_params(core::Scheme::EcCmHg));
-  dsm::Machine replay(small_params(core::Scheme::EcCmHg));
-  const auto r1 = TraceRunner(orig, t).run();
-  const auto r2 = TraceRunner(replay, loaded).run();
+  dsm::Machine again(small_params(core::Scheme::EcCmHg));
+  const auto r1 = replay(orig, t);
+  const auto r2 = replay(again, loaded);
   ASSERT_TRUE(r1.completed);
   ASSERT_TRUE(r2.completed);
   EXPECT_EQ(r1.cycles, r2.cycles);
   EXPECT_EQ(r1.accesses, r2.accesses);
-  EXPECT_EQ(orig.stats().inval_txns, replay.stats().inval_txns);
+  EXPECT_EQ(orig.stats().inval_txns, again.stats().inval_txns);
   EXPECT_EQ(orig.stats().inval_latency.sum(),
-            replay.stats().inval_latency.sum());
+            again.stats().inval_latency.sum());
   EXPECT_EQ(orig.network().stats().link_flit_hops,
-            replay.network().stats().link_flit_hops);
-  EXPECT_EQ(orig.engine().now(), replay.engine().now());
+            again.network().stats().link_flit_hops);
+  EXPECT_EQ(orig.engine().now(), again.engine().now());
 }
 
 TEST(BinaryTrace, MissingFileReportsError) {
@@ -526,32 +536,57 @@ TEST(StreamRunner, ZeroWarmupCountsEverything) {
   EXPECT_EQ(r.steady_accesses, static_cast<std::uint64_t>(r.accesses));
 }
 
-TEST(StreamRunner, TraceSourceReplayMatchesTraceRunner) {
-  // The TraceRunner wrapper and a hand-built StreamRunner over the same
-  // trace must produce identical replays.
-  const Trace t = lu_trace(16, 32, 8, 6);
-  dsm::Machine a(small_params(core::Scheme::EcCmCg));
-  dsm::Machine b(small_params(core::Scheme::EcCmCg));
-  const auto ra = TraceRunner(a, t).run();
+/// What a replay pin checks: the run's length and work, and the machine's
+/// invalidation, occupancy and traffic totals.
+struct ReplayPin {
+  Cycle cycles;
+  std::size_t accesses;
+  std::uint64_t inval_txns;
+  std::uint64_t occupancy;
+  std::uint64_t link_flit_hops;
+};
+
+void expect_replay_pin(const Trace& t, int outstanding, const ReplayPin& pin) {
+  dsm::Machine m(small_params(core::Scheme::EcCmCg));
   TraceSource src(t);
   StreamRunnerOptions opt;
-  opt.windowed = false;
-  StreamRunner runner(b, src, opt);
-  const auto rb = runner.run();
-  ASSERT_TRUE(ra.completed);
-  ASSERT_TRUE(rb.completed);
-  EXPECT_EQ(ra.cycles, rb.cycles);
-  EXPECT_EQ(ra.accesses, rb.accesses);
-  EXPECT_EQ(a.stats().inval_txns, b.stats().inval_txns);
-  EXPECT_EQ(a.network().stats().link_flit_hops,
-            b.network().stats().link_flit_hops);
+  opt.outstanding = outstanding;
+  StreamRunner runner(m, src, opt);
+  const StreamResult r = runner.run();
+  ASSERT_TRUE(r.completed) << r.describe_stalls();
+  EXPECT_EQ(r.cycles, pin.cycles);
+  EXPECT_EQ(r.accesses, pin.accesses);
+  EXPECT_EQ(m.stats().inval_txns, pin.inval_txns);
+  EXPECT_EQ(m.total_occupancy(), pin.occupancy);
+  EXPECT_EQ(m.network().stats().link_flit_hops, pin.link_flit_hops);
+  ASSERT_EQ(r.procs.size(), static_cast<std::size_t>(t.nprocs));
+  for (std::size_t p = 0; p < r.procs.size(); ++p) {
+    EXPECT_TRUE(r.procs[p].done) << "proc " << p;
+    EXPECT_EQ(r.procs[p].ops_retired, t.per_proc[p].size()) << "proc " << p;
+  }
+  EXPECT_EQ(m.check_coherence(), "");
 }
 
-TEST(RunResultProgress, ReportsPerProcRetirementAndStalls) {
+TEST(StreamRunner, TraceSourceReplayIsPinned) {
+  // A blocking replay of a barrier trace, pinned to what the dedicated
+  // trace-replay wrapper produced before trace replay moved onto
+  // StreamRunner's session loop.
+  expect_replay_pin(lu_trace(16, 32, 8, 6), 1, {4405, 100, 0, 4660, 5568});
+}
+
+TEST(StreamRunner, BarrierDrainsTheWindowAtOutstandingFour) {
+  // With four accesses in flight a processor pulls a barrier while earlier
+  // accesses are still outstanding; it must drain its window before it
+  // arrives.  Pinned to what the runner produced before its blocking and
+  // windowed issue loops were merged.
+  expect_replay_pin(lu_trace(16, 64, 8, 6), 4, {8138, 744, 0, 25282, 19872});
+}
+
+TEST(StreamResultProgress, ReportsPerProcRetirementAndStalls) {
   // Complete run: every proc retired its whole stream.
   dsm::Machine m(small_params(core::Scheme::UiUa));
   const Trace t = random_trace(16, 20, 8, 0.3, 2);
-  const auto r = TraceRunner(m, t).run();
+  const auto r = replay(m, t);
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.procs.size(), 16u);
   for (const auto& pp : r.procs) {
@@ -569,7 +604,7 @@ TEST(RunResultProgress, ReportsPerProcRetirementAndStalls) {
   stuck.per_proc.resize(4);
   stuck.per_proc[0].push_back({OpKind::Barrier, 0, 0});
   dsm::Machine m2(small_params(core::Scheme::UiUa));
-  const auto rs = TraceRunner(m2, stuck).run(20'000);
+  const auto rs = replay(m2, stuck, 20'000);
   EXPECT_FALSE(rs.completed);
   ASSERT_EQ(rs.procs.size(), 4u);
   EXPECT_TRUE(rs.procs[0].at_barrier);
@@ -581,11 +616,11 @@ TEST(RunResultProgress, ReportsPerProcRetirementAndStalls) {
   EXPECT_NE(stalls.find("at barrier 0"), std::string::npos);
 }
 
-TEST(RunResultProgress, DescribeStallsOutputIsPinned) {
+TEST(StreamResultProgress, DescribeStallsOutputIsPinned) {
   // The exact report format, pinned: tooling (and humans reading CI logs)
-  // depend on it.  describe_stalls is a pure function of RunResult, so the
-  // pin constructs the result by hand.
-  RunResult r;
+  // depend on it.  describe_stalls is a pure function of StreamResult, so
+  // the pin constructs the result by hand.
+  StreamResult r;
   r.completed = false;
   r.procs.resize(4);
   r.procs[0].ops_retired = 17;
@@ -605,13 +640,13 @@ TEST(RunResultProgress, DescribeStallsOutputIsPinned) {
   EXPECT_EQ(r.describe_stalls(), "");
 
   // Queue depths alone (every proc mid-access but none parked) still print.
-  RunResult q;
+  StreamResult q;
   q.completed = false;
   q.home_queue_depths = {0, 2};
   EXPECT_EQ(q.describe_stalls(), "home queues: node 1=2");
 }
 
-TEST(RunResultProgress, TimeoutSamplesHomeQueueDepths) {
+TEST(StreamResultProgress, TimeoutSamplesHomeQueueDepths) {
   // A run that exhausts its budget under heavy same-home write contention
   // with a serialized (depth 1) home records the queue it was stuck behind.
   auto p = small_params(core::Scheme::UiUa);
@@ -628,7 +663,7 @@ TEST(RunResultProgress, TimeoutSamplesHomeQueueDepths) {
            static_cast<BlockAddr>(16 * ((proc + k) % 8 + 1) + 5), 0});
     }
   }
-  const auto r = TraceRunner(m, t).run(2'000);  // far too small a budget
+  const auto r = replay(m, t, 2'000);  // far too small a budget
   ASSERT_FALSE(r.completed);
   // The snapshot reflects the timeout instant, NOT the post-drain state:
   // some procs must still be mid-access, so the report is never empty, and

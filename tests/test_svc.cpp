@@ -12,8 +12,9 @@
 //   * Coherence invariants under multi-outstanding random stress at
 //     pipeline depths {2,4,8}, with and without coalescing and eager
 //     (release-consistency) grants, for every grouping scheme.
-//   * StreamRunner service mode: outstanding=1 reproduces the classic
-//     blocking loop cycle-for-cycle.
+//   * StreamRunner, which issues every access through a session: window 1
+//     reproduces the blocking processor's pinned cycle counts, and larger
+//     windows raise throughput.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -325,44 +326,29 @@ TEST(ServiceStress, CoherentAtDepths248WithCoalescingAndEagerGrants) {
   }
 }
 
-TEST(StreamService, OutstandingOneMatchesClassicLoop) {
-  // StreamRunner's service mode at outstanding=1 must reproduce the classic
-  // blocking step/think loop cycle-for-cycle (same end cycle, accesses, and
-  // invalidation count) when the home pipeline is unconstrained.
+TEST(StreamService, OutstandingOneMatchesBlockingLoopPins) {
+  // A window of 1 is the blocking processor: issue, wait, think, repeat.
+  // The pins were taken from the dedicated blocking issue loop StreamRunner
+  // had before every access went through a session.
   workload::GenConfig g;
   g.kind = workload::GenKind::Zipfian;
   g.nprocs = 16;
   g.ops_per_proc = 200;
   g.nblocks = 64;
   g.seed = 77;
-  const noc::MeshShape mesh(4, 4);
-
-  struct Out {
-    Cycle cycles = 0;
-    std::size_t accesses = 0;
-    std::uint64_t invals = 0;
-    std::uint64_t occupancy = 0;
-  } out[2];
-  for (int k = 0; k < 2; ++k) {
-    auto src = workload::make_generator(g, mesh);
-    dsm::Machine m(tiny());
-    workload::StreamRunnerOptions opt;
-    opt.warmup_accesses = 0;
-    opt.use_service = k == 1;
-    opt.outstanding = 1;
-    workload::StreamRunner runner(m, *src, opt);
-    const auto r = runner.run();
-    ASSERT_TRUE(r.completed);
-    out[k].cycles = r.cycles;
-    out[k].accesses = r.accesses;
-    out[k].invals = m.stats().inval_txns;
-    out[k].occupancy = m.total_occupancy();
-    EXPECT_TRUE(m.check_coherence().empty());
-  }
-  EXPECT_EQ(out[0].cycles, out[1].cycles);
-  EXPECT_EQ(out[0].accesses, out[1].accesses);
-  EXPECT_EQ(out[0].invals, out[1].invals);
-  EXPECT_EQ(out[0].occupancy, out[1].occupancy);
+  auto src = workload::make_generator(g, noc::MeshShape(4, 4));
+  dsm::Machine m(tiny());
+  workload::StreamRunnerOptions opt;
+  opt.warmup_accesses = 0;
+  workload::StreamRunner runner(m, *src, opt);
+  const auto r = runner.run();
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.cycles, 58846u);
+  EXPECT_EQ(r.accesses, 3200u);
+  EXPECT_EQ(m.stats().inval_txns, 536u);
+  EXPECT_EQ(m.total_occupancy(), 276100u);
+  EXPECT_EQ(m.network().stats().link_flit_hops, 456560u);
+  EXPECT_TRUE(m.check_coherence().empty());
 }
 
 TEST(StreamService, MultiOutstandingRaisesThroughput) {
@@ -385,7 +371,6 @@ TEST(StreamService, MultiOutstandingRaisesThroughput) {
     dsm::Machine m(p);
     workload::StreamRunnerOptions opt;
     opt.warmup_accesses = 0;
-    opt.use_service = true;
     opt.outstanding = outst[k];
     workload::StreamRunner runner(m, *src, opt);
     const auto r = runner.run();

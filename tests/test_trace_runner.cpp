@@ -1,11 +1,11 @@
-// Trace replay on the cycle-level machine: completion, barrier semantics,
-// and end-state coherence, including miniature versions of the real apps
-// under every grouping scheme.
+// Trace replay on the cycle-level machine (a TraceSource through
+// StreamRunner): completion, barrier semantics, and end-state coherence,
+// including miniature versions of the real apps under every grouping scheme.
 #include <gtest/gtest.h>
 
 #include "workload/apps.h"
+#include "workload/stream_runner.h"
 #include "workload/synthetic.h"
-#include "workload/trace_runner.h"
 
 namespace mdw::workload {
 namespace {
@@ -19,17 +19,23 @@ dsm::SystemParams small_params(core::Scheme s) {
   return p;
 }
 
-TEST(TraceRunner, EmptyTraceCompletesImmediately) {
+/// Replay `t` on `m`: processor i of the trace runs on mesh node i.
+StreamResult replay(dsm::Machine& m, const Trace& t) {
+  TraceSource src(t);
+  StreamRunner runner(m, src);
+  return runner.run();
+}
+
+TEST(TraceReplay, EmptyTraceCompletesImmediately) {
   dsm::Machine m(small_params(core::Scheme::UiUa));
   TraceBuilder tb(16);
   const Trace t = tb.take();
-  TraceRunner runner(m, t);
-  const auto r = runner.run();
+  const auto r = replay(m, t);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.accesses, 0u);
 }
 
-TEST(TraceRunner, SimpleReadWriteCompletes) {
+TEST(TraceReplay, SimpleReadWriteCompletes) {
   dsm::Machine m(small_params(core::Scheme::UiUa));
   TraceBuilder tb(16);
   for (int p = 0; p < 16; ++p) {
@@ -39,14 +45,13 @@ TEST(TraceRunner, SimpleReadWriteCompletes) {
   }
   const Trace t = tb.take();
   dsm::Machine m2(small_params(core::Scheme::UiUa));
-  TraceRunner runner(m2, t);
-  const auto r = runner.run();
+  const auto r = replay(m2, t);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.accesses, 48u);
   EXPECT_TRUE(m2.check_coherence().empty());
 }
 
-TEST(TraceRunner, BarrierOrdersPhases) {
+TEST(TraceReplay, BarrierOrdersPhases) {
   // Writer updates block 3 before the barrier; every reader after the
   // barrier must find the directory serving the written value.
   dsm::Machine m(small_params(core::Scheme::EcCmCg));
@@ -55,8 +60,7 @@ TEST(TraceRunner, BarrierOrdersPhases) {
   tb.barrier();
   for (int p = 0; p < 16; ++p) tb.read(p, 3);
   const Trace t = tb.take();
-  TraceRunner runner(m, t);
-  const auto r = runner.run();
+  const auto r = replay(m, t);
   EXPECT_TRUE(r.completed);
   // All 15 other nodes + writer hold shared copies now.
   const auto* e = m.node(3).directory().find(3);
@@ -66,15 +70,14 @@ TEST(TraceRunner, BarrierOrdersPhases) {
   EXPECT_TRUE(m.check_coherence().empty());
 }
 
-TEST(TraceRunner, WriteAfterWideSharingTriggersInvalidations) {
+TEST(TraceReplay, WriteAfterWideSharingTriggersInvalidations) {
   dsm::Machine m(small_params(core::Scheme::EcCmHg));
   TraceBuilder tb(16);
   for (int p = 0; p < 16; ++p) tb.read(p, 5);
   tb.barrier();
   tb.write(2, 5);
   const Trace t = tb.take();
-  TraceRunner runner(m, t);
-  EXPECT_TRUE(runner.run().completed);
+  EXPECT_TRUE(replay(m, t).completed);
   EXPECT_GE(m.stats().inval_txns, 1u);
   EXPECT_GE(m.stats().inval_sharers.max(), 10.0);
   EXPECT_TRUE(m.check_coherence().empty());
@@ -85,8 +88,7 @@ class MiniApps : public ::testing::TestWithParam<core::Scheme> {};
 TEST_P(MiniApps, BarnesHutReplayStaysCoherent) {
   dsm::Machine m(small_params(GetParam()));
   const Trace t = barnes_hut_trace(16, 32, 1, 5);
-  TraceRunner runner(m, t);
-  const auto r = runner.run();
+  const auto r = replay(m, t);
   ASSERT_TRUE(r.completed) << core::scheme_name(GetParam());
   EXPECT_EQ(r.accesses, t.total_accesses());
   const auto err = m.check_coherence();
@@ -97,8 +99,7 @@ TEST_P(MiniApps, BarnesHutReplayStaysCoherent) {
 TEST_P(MiniApps, LuReplayStaysCoherent) {
   dsm::Machine m(small_params(GetParam()));
   const Trace t = lu_trace(16, 32, 8, 6);
-  TraceRunner runner(m, t);
-  const auto r = runner.run();
+  const auto r = replay(m, t);
   ASSERT_TRUE(r.completed) << core::scheme_name(GetParam());
   const auto err = m.check_coherence();
   EXPECT_TRUE(err.empty()) << err;
@@ -107,8 +108,7 @@ TEST_P(MiniApps, LuReplayStaysCoherent) {
 TEST_P(MiniApps, ApspReplayStaysCoherent) {
   dsm::Machine m(small_params(GetParam()));
   const Trace t = apsp_trace(16, 24, 6);
-  TraceRunner runner(m, t);
-  const auto r = runner.run();
+  const auto r = replay(m, t);
   ASSERT_TRUE(r.completed) << core::scheme_name(GetParam());
   const auto err = m.check_coherence();
   EXPECT_TRUE(err.empty()) << err;
@@ -124,14 +124,14 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, MiniApps,
                            return n;
                          });
 
-TEST(TraceRunner, SchemesAgreeOnWorkDisagreeOnCost) {
+TEST(TraceReplay, SchemesAgreeOnWorkDisagreeOnCost) {
   // The same trace replayed under UI-UA and MI-MA must do the same protocol
   // work (same txns, same sharers) but different message counts.
   const Trace t = apsp_trace(16, 24, 9);
   dsm::Machine ui(small_params(core::Scheme::UiUa));
   dsm::Machine ma(small_params(core::Scheme::EcCmHg));
-  EXPECT_TRUE(TraceRunner(ui, t).run().completed);
-  EXPECT_TRUE(TraceRunner(ma, t).run().completed);
+  EXPECT_TRUE(replay(ui, t).completed);
+  EXPECT_TRUE(replay(ma, t).completed);
   EXPECT_EQ(ui.stats().inval_txns, ma.stats().inval_txns);
   EXPECT_DOUBLE_EQ(ui.stats().inval_sharers.mean(),
                    ma.stats().inval_sharers.mean());
