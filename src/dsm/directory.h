@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 
 #include "core/sharer_set.h"
+#include "sim/ring_queue.h"
 #include "sim/types.h"
 
 namespace mdw::dsm {
@@ -39,7 +39,7 @@ struct DirEntry {
   bool eager_granted = false;   // RC mode: WriteReply already sent
   bool recall_outstanding = false;
   bool recall_for_write = false;
-  std::deque<PendingReq> queue;  // requests arriving while Waiting
+  sim::RingQueue<PendingReq> queue;  // requests arriving while Waiting
 };
 
 struct DirectoryStats {

@@ -18,7 +18,6 @@
 // event-for-event identical to the pre-service-layer node.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -30,6 +29,7 @@
 #include "dsm/directory.h"
 #include "dsm/messages.h"
 #include "dsm/params.h"
+#include "sim/ring_queue.h"
 #include "sim/stats.h"
 
 namespace mdw::dsm {
@@ -179,7 +179,7 @@ private:
   int live_invals_ = 0;
   /// Blocks whose invalidation waits for a pipeline slot, FIFO, with the
   /// enqueue cycle for queue-wait accounting.
-  std::deque<std::pair<BlockAddr, Cycle>> home_queue_;
+  sim::RingQueue<std::pair<BlockAddr, Cycle>> home_queue_;
   /// Admitted blocks parked for merging until the window flush.
   std::vector<BlockAddr> coalesce_buf_;
   /// Bumped on every flush; a scheduled window-expiry flush only fires if

@@ -1,7 +1,6 @@
 // Counting global operator new/delete (see alloc_guard.h).  Linking this
-// translation unit replaces the allocator for the whole binary; it is only
-// pulled out of the static library by code referencing
-// alloc_guard_new_calls(), i.e. the allocation-guard tests.
+// translation unit replaces the allocator for the whole binary, and a
+// static link of mdw_sim pulls it in to resolve operator new.
 #include "sim/alloc_guard.h"
 
 #include <atomic>
@@ -28,6 +27,7 @@
 namespace {
 
 std::atomic<std::uint64_t> g_new_calls{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
 std::atomic<bool> g_trace{false};
 
 void trace_alloc() {
@@ -37,15 +37,20 @@ void trace_alloc() {
   (void)!write(2, "----\n", 5);
 }
 
-void* counted_alloc(std::size_t size) {
+void note_alloc(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+}
+
+void* counted_alloc(std::size_t size) {
+  note_alloc(size);
   if (g_trace.load(std::memory_order_relaxed)) trace_alloc();
   if (size == 0) size = 1;
   return std::malloc(size);
 }
 
 void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  note_alloc(size);
   if (g_trace.load(std::memory_order_relaxed)) trace_alloc();
   if (size == 0) size = 1;
   void* p = nullptr;
@@ -61,6 +66,9 @@ void* counted_alloc_aligned(std::size_t size, std::size_t align) {
 namespace mdw::sim {
 std::uint64_t alloc_guard_new_calls() {
   return g_new_calls.load(std::memory_order_relaxed);
+}
+std::uint64_t alloc_guard_new_bytes() {
+  return g_new_bytes.load(std::memory_order_relaxed);
 }
 void alloc_guard_trace(bool on) {
   g_trace.store(on, std::memory_order_relaxed);

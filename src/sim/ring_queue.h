@@ -1,11 +1,13 @@
-// Growable circular FIFO replacing std::deque on the simulator hot path
-// (network-interface injection queues and i-ack retry queues).
+// Growable circular FIFO: the simulator's one queue type (network-interface
+// injection queues, i-ack retry queues, and the directory's per-block and
+// per-home request queues).
 //
-// std::deque allocates and frees chunk nodes as elements flow through even
-// when the queue stays shallow; RingQueue only allocates when the occupancy
-// high-water mark grows, and the storage is retained thereafter, so the
-// steady state performs no allocation.  pop_front() resets the vacated slot
-// to a default-constructed T so reference-holding elements (e.g. WormPtr)
+// std::deque allocates a chunk map even when empty, and allocates and frees
+// chunk nodes as elements flow through a shallow queue.  RingQueue
+// allocates nothing until its first push and afterwards only when the
+// occupancy high-water mark grows; the storage is retained, so the steady
+// state performs no allocation.  pop_front() resets the vacated slot to a
+// default-constructed T so reference-holding elements (e.g. WormPtr)
 // release their target immediately.
 #pragma once
 

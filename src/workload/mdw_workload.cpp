@@ -18,12 +18,15 @@
 // hitting the same home merge into one multidestination worm wave.  All
 // randomness derives from --seed via SplitMix64 sub-streams
 // (sim::split_seed); two runs with identical flags produce identical
-// machines, streams, and statistics.
+// machines, streams, and statistics.  A run that completes is then checked
+// for coherence (Machine::check_coherence and all_idle); an incoherent end
+// state exits 1 with the head of the checker's report.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "dsm/machine.h"
@@ -61,11 +64,13 @@ void usage(const char* argv0) {
       "machine / replay:\n"
       "  --mesh=KxK | K      mesh size (default 16x16)\n"
       "  --scheme=S          invalidation scheme (default UI-UA)\n"
+      "  --cache-lines=N     direct-mapped cache lines per node, 1..65535\n"
+      "                      (default 1024)\n"
       "  --think=N           cycles between accesses (default 4)\n"
       "  --warmup=N          warmup accesses before steady state\n"
       "                      (default 4096; 0 = none)\n"
       "  --window=N          steady-state window width, cycles (default 10000)\n"
-      "  --max-cycles=N      cycle budget (default 2000000000)\n"
+      "  --max-cycles=N      cycle budget, >= 1 (default 2000000000)\n"
       "  --seed=S            base seed (default 1)\n"
       "\n"
       "service layer:\n"
@@ -92,6 +97,7 @@ struct Options {
   std::string load_trace, save_trace, metrics_json;
   std::uint64_t total_ops = 1'000'000;
   int mesh_w = 16, mesh_h = 16;
+  int cache_lines = dsm::SystemParams{}.cache_lines;
   core::Scheme scheme = core::Scheme::UiUa;
   dsm::SvcParams svc;
   workload::StreamRunnerOptions run;
@@ -116,11 +122,16 @@ Options parse_cli(int argc, char** argv) {
         cli.flag(a, "--alpha", opt.gen.zipf_alpha) ||
         cli.flag(a, "--seed", opt.gen.seed) ||
         cli.flag(a, "--think", opt.run.think) ||
-        cli.flag(a, "--warmup", opt.run.warmup_accesses) ||
-        cli.flag(a, "--max-cycles", opt.run.max_cycles)) {
+        cli.flag(a, "--warmup", opt.run.warmup_accesses)) {
       continue;
     }
-    if (cli.flag(a, "--outstanding", opt.run.outstanding)) {
+    if (cli.flag(a, "--max-cycles", opt.run.max_cycles)) {
+      if (opt.run.max_cycles < 1) cli.die("--max-cycles must be >= 1");
+    } else if (cli.flag(a, "--cache-lines", opt.cache_lines)) {
+      if (opt.cache_lines < 1 || opt.cache_lines > 65535) {
+        cli.die("--cache-lines must lie in [1, 65535]");
+      }
+    } else if (cli.flag(a, "--outstanding", opt.run.outstanding)) {
       if (opt.run.outstanding <= 0) cli.die("--outstanding must be positive");
     } else if (cli.flag(a, "--depth", opt.svc.pipeline_depth)) {
       if (opt.svc.pipeline_depth < 0) cli.die("--depth must be >= 0");
@@ -256,15 +267,17 @@ int main(int argc, char** argv) {
   params.mesh_w = opt.mesh_w;
   params.mesh_h = opt.mesh_h;
   params.scheme = opt.scheme;
+  params.cache_lines = opt.cache_lines;
   params.svc = opt.svc;
   obs::MetricsRegistry registry;
   dsm::Machine machine(params, &registry);
 
   std::printf("mdw_workload: %s on %dx%d mesh, scheme %s, %d procs, "
-              "outstanding %d, depth %d, coalesce %" PRIu64 "\n",
+              "%d-line caches, outstanding %d, depth %d, coalesce %" PRIu64
+              "\n",
               label.c_str(), opt.mesh_w, opt.mesh_h,
               std::string(core::scheme_name(opt.scheme)).c_str(), nprocs,
-              opt.run.outstanding, opt.svc.pipeline_depth,
+              opt.cache_lines, opt.run.outstanding, opt.svc.pipeline_depth,
               static_cast<std::uint64_t>(opt.svc.coalesce_window));
 
   workload::StreamRunner runner(machine, *src, opt.run);
@@ -276,11 +289,26 @@ int main(int argc, char** argv) {
                  r.describe_stalls().c_str());
     return 1;
   }
+  std::string incoherent = machine.check_coherence();
+  if (incoherent.empty() && !machine.all_idle()) {
+    incoherent = "processor operations still pending at quiescence\n";
+  }
+  if (!incoherent.empty()) {
+    // One line per violation; the first few locate the fault.
+    std::istringstream report(incoherent);
+    std::string line;
+    std::fprintf(stderr, "run completed in an incoherent state:\n");
+    for (int i = 0; i < 8 && std::getline(report, line); ++i) {
+      std::fprintf(stderr, "  %s\n", line.c_str());
+    }
+    return 1;
+  }
 
   std::printf("\ncompleted: %zu coherence transactions (%" PRIu64
               " invalidation txns) in %" PRIu64 " cycles\n",
               r.accesses, machine.stats().inval_txns,
               static_cast<std::uint64_t>(r.cycles));
+  std::printf("  coherence: ok\n");
   std::printf("  warmup end: cycle %" PRIu64 "   steady cycles: %" PRIu64
               "\n",
               static_cast<std::uint64_t>(r.warmup_end),

@@ -1,18 +1,26 @@
-// Steady-state allocation pins (DESIGN.md sections 11 and 17).
+// Allocation pins (DESIGN.md sections 11 and 17).
 //
 // Linking this binary pulls in sim/alloc_guard.cpp, which replaces the global
-// operator new/delete with counting versions.  The tests drive a raw Network
-// through repeated identical unicast rounds: the first rounds are warmup
-// (worm pool fills, ring queues and spill blocks reach their high-water
-// capacity), then an AllocGuard brackets further rounds and must observe ZERO
-// operator-new calls — the arena/pool/ring design means the hot loop never
-// touches the heap once warm.
+// operator new/delete with counting versions.
+//
+// Steady state: the tests drive a raw Network through repeated identical
+// unicast rounds: the first rounds are warmup (worm pool fills, ring queues
+// and spill blocks reach their high-water capacity), then an AllocGuard
+// brackets further rounds and must observe ZERO operator-new calls — the
+// arena/pool/ring design means the hot loop never touches the heap once warm.
+//
+// Construction: per-node protocol state (cache lines, directory queues) is
+// allocated on first use, so an idle cache or directory entry costs no heap
+// and a whole Machine requests only its network and bookkeeping.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
 
+#include "dsm/cache.h"
+#include "dsm/directory.h"
+#include "dsm/machine.h"
 #include "noc/network.h"
 #include "noc/worm_builder.h"
 #include "sim/alloc_guard.h"
@@ -81,6 +89,66 @@ TEST(AllocGuard, SequentialKernelSteadyStateAllocFree) {
   if (!sim::alloc_guard_active())
     GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
   EXPECT_EQ(guarded_new_calls(/*warmup=*/3, /*rounds=*/6), 0u);
+}
+
+TEST(AllocGuard, CacheConstructsAndProbesWithoutAllocating) {
+  if (!sim::alloc_guard_active())
+    GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
+  using dsm::Cache;
+  using dsm::LineState;
+  {
+    sim::AllocGuard guard;
+    Cache c(1024);
+    // Reads, invalidations and downgrades of lines never installed.
+    for (BlockAddr a : {0u, 5u, 1023u, 1024u, 4099u}) {
+      EXPECT_EQ(c.lookup(a), LineState::Invalid);
+      EXPECT_EQ(c.value_of(a), 0u);
+      EXPECT_FALSE(c.invalidate(a));
+      EXPECT_EQ(c.downgrade(a), 0u);
+    }
+    EXPECT_EQ(guard.delta(), 0u);
+    EXPECT_EQ(guard.bytes(), 0u);
+  }
+  // Once the slot table exists, probing other never-used sets still
+  // allocates nothing.
+  Cache c(1024);
+  c.install(7, LineState::Modified, 1);
+  sim::AllocGuard guard;
+  for (BlockAddr a : {0u, 5u, 1023u, 1024u, 4099u}) {
+    EXPECT_EQ(c.lookup(a), LineState::Invalid);
+    EXPECT_FALSE(c.invalidate(a));
+    EXPECT_EQ(c.downgrade(a), 0u);
+  }
+  EXPECT_EQ(guard.delta(), 0u);
+}
+
+TEST(AllocGuard, DefaultDirEntryDoesNotAllocate) {
+  if (!sim::alloc_guard_active())
+    GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
+  sim::AllocGuard guard;
+  {
+    dsm::DirEntry e;
+    EXPECT_TRUE(e.queue.empty());
+  }
+  EXPECT_EQ(guard.delta(), 0u);
+}
+
+TEST(AllocGuard, MachineConstructionFootprint32x32) {
+  if (!sim::alloc_guard_active())
+    GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
+  dsm::SystemParams p;
+  p.mesh_w = 32;
+  p.mesh_h = 32;
+  std::uint64_t bytes = 0;
+  {
+    sim::AllocGuard guard;
+    dsm::Machine m(p);
+    bytes = guard.bytes();
+  }
+  // Dense 1,024-line caches alone took 25 MB at 32x32 (29.7 MB in all).
+  // With node state allocated on first use, the network, the nodes' fixed
+  // fields and the memo tables are left: about 3.9 MB.
+  EXPECT_LT(bytes, 6u * 1000 * 1000);
 }
 
 } // namespace

@@ -1,7 +1,12 @@
 // Unit tests for the direct-mapped MSI cache model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "dsm/cache.h"
+#include "sim/rng.h"
 
 namespace mdw::dsm {
 namespace {
@@ -90,6 +95,153 @@ TEST(Cache, TagDisambiguation) {
   c.install(3, LineState::Shared, 1);
   EXPECT_EQ(c.lookup(11), LineState::Invalid);  // same set, different tag
 }
+
+/// The dense storage `Cache` had before its slot table: every line
+/// value-initialized at construction.  The differential case below holds
+/// the slot table to exactly this behaviour.
+class DenseCache {
+public:
+  explicit DenseCache(int lines) : lines_(static_cast<std::size_t>(lines)) {}
+
+  LineState lookup(BlockAddr a) const {
+    const Cache::Line& l = line_of(a);
+    return (l.state != LineState::Invalid && l.tag == a) ? l.state
+                                                         : LineState::Invalid;
+  }
+  std::uint64_t value_of(BlockAddr a) const { return line_of(a).value; }
+  void set_value(BlockAddr a, std::uint64_t v) { line_of(a).value = v; }
+
+  Cache::Eviction install(BlockAddr a, LineState st, std::uint64_t value) {
+    Cache::Line& l = line_of(a);
+    Cache::Eviction ev;
+    if (l.state != LineState::Invalid && l.tag != a) {
+      ev = Cache::Eviction{true, l.tag, l.state == LineState::Modified,
+                           l.value};
+      ++stats_.evictions;
+      if (ev.dirty) ++stats_.dirty_evictions;
+    }
+    l = Cache::Line{a, st, value};
+    return ev;
+  }
+
+  bool invalidate(BlockAddr a) {
+    Cache::Line& l = line_of(a);
+    ++stats_.invalidations_received;
+    if (l.state == LineState::Invalid || l.tag != a) return false;
+    l.state = LineState::Invalid;
+    return true;
+  }
+
+  std::uint64_t downgrade(BlockAddr a) {
+    Cache::Line& l = line_of(a);
+    if (l.tag == a && l.state == LineState::Modified)
+      l.state = LineState::Shared;
+    return l.value;
+  }
+
+  const CacheStats& stats() const { return stats_; }
+
+  template <typename Fn>
+  void for_each_valid(Fn&& fn) const {
+    for (const Cache::Line& l : lines_) {
+      if (l.state != LineState::Invalid) fn(l);
+    }
+  }
+
+private:
+  Cache::Line& line_of(BlockAddr a) { return lines_[a % lines_.size()]; }
+  const Cache::Line& line_of(BlockAddr a) const {
+    return lines_[a % lines_.size()];
+  }
+
+  std::vector<Cache::Line> lines_;
+  CacheStats stats_;
+};
+
+struct Copy {
+  BlockAddr tag;
+  LineState state;
+  std::uint64_t value;
+  bool operator==(const Copy&) const = default;
+};
+
+template <class C>
+std::vector<Copy> valid_copies(const C& c) {
+  std::vector<Copy> out;
+  c.for_each_valid([&](const Cache::Line& l) {
+    out.push_back(Copy{l.tag, l.state, l.value});
+  });
+  return out;
+}
+
+bool same_stats(const CacheStats& x, const CacheStats& y) {
+  return x.hits == y.hits && x.misses == y.misses &&
+         x.evictions == y.evictions &&
+         x.dirty_evictions == y.dirty_evictions &&
+         x.invalidations_received == y.invalidations_received;
+}
+
+TEST(Cache, SlotTableMatchesDenseModel) {
+  // Random install / lookup / value_of / set_value / invalidate / downgrade
+  // sequences over addresses in [0, 4 * lines): every return value, the
+  // stats and the full for_each_valid sequence must match the dense model.
+  constexpr int kSteps = 4000;
+  for (const int lines : {1, 2, 16, 1024}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Cache c(lines);
+      DenseCache d(lines);
+      sim::Rng rng(seed * 7919 + static_cast<std::uint64_t>(lines));
+      const std::uint64_t span = 4 * static_cast<std::uint64_t>(lines);
+      for (int step = 0; step < kSteps; ++step) {
+        const BlockAddr a = rng.next_below(span);
+        const auto st = static_cast<LineState>(rng.next_below(3));
+        const std::uint64_t v = rng.next_below(1000);
+        const auto op = rng.next_below(6);
+        const auto where = [&] {
+          return "lines " + std::to_string(lines) + " seed " +
+                 std::to_string(seed) + " step " + std::to_string(step) +
+                 " op " + std::to_string(op) + " addr " + std::to_string(a);
+        };
+        switch (op) {
+          case 0: {
+            const Cache::Eviction x = c.install(a, st, v);
+            const Cache::Eviction y = d.install(a, st, v);
+            ASSERT_EQ(x.valid, y.valid) << where();
+            ASSERT_EQ(x.addr, y.addr) << where();
+            ASSERT_EQ(x.dirty, y.dirty) << where();
+            ASSERT_EQ(x.value, y.value) << where();
+            break;
+          }
+          case 1:
+            ASSERT_EQ(c.lookup(a), d.lookup(a)) << where();
+            break;
+          case 2:
+            ASSERT_EQ(c.value_of(a), d.value_of(a)) << where();
+            break;
+          case 3:
+            c.set_value(a, v);
+            d.set_value(a, v);
+            break;
+          case 4:
+            ASSERT_EQ(c.invalidate(a), d.invalidate(a)) << where();
+            break;
+          default:
+            ASSERT_EQ(c.downgrade(a), d.downgrade(a)) << where();
+            break;
+        }
+        ASSERT_TRUE(same_stats(c.stats(), d.stats())) << where();
+        ASSERT_EQ(valid_copies(c), valid_copies(d)) << where();
+      }
+    }
+  }
+}
+
+#ifndef NDEBUG
+TEST(CacheDeathTest, LineCountMustFitASixteenBitSlot) {
+  EXPECT_DEATH({ Cache c(0); }, "lines");
+  EXPECT_DEATH({ Cache c(65536); }, "lines");
+}
+#endif
 
 } // namespace
 } // namespace mdw::dsm

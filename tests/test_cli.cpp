@@ -1,7 +1,8 @@
 // The CLIs' input validation: strict numeric flag parsing (sim/cli.h) and
-// range checks in mdw_workload and mdw_sweep, and mdw_workload's handling of
-// trace files the MDWT decoder rejects.  The end-to-end cases run the built
-// binaries and check their exit status and message.
+// range checks in mdw_workload and mdw_sweep, mdw_workload's handling of
+// trace files the MDWT decoder rejects, and its end-of-run coherence check.
+// The end-to-end cases run the built binaries and check their exit status
+// and message.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -93,7 +94,11 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
       {workload + " --blocks=-3", "--blocks"},
       {workload + " --coalesce=-1", "--coalesce"},
       {workload + " --max-cycles=abc", "--max-cycles"},
+      {workload + " --max-cycles=0", "--max-cycles"},
       {workload + " --outstanding=4x", "--outstanding"},
+      {workload + " --cache-lines=0", "--cache-lines"},
+      {workload + " --cache-lines=65536", "--cache-lines"},
+      {workload + " --cache-lines=4k", "--cache-lines"},
       {sweep + " --d=2 --reps=abc", "--reps"},
       {sweep + " --d=2 --reps=0", "--reps"},
       {sweep + " --d=2x", "--d"},
@@ -121,6 +126,16 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
     EXPECT_NE(r.output.find(c.flag), std::string::npos)
         << c.cmd << "\n" << r.output;
   }
+}
+
+TEST(CliFlags, WorkloadRunsOnOneLineCachesAndChecksCoherence) {
+  // One line per cache puts every block of a node in the same set, so
+  // nearly every access evicts; the run must still end coherent.
+  const CmdResult r = run(std::string("'") + MDW_WORKLOAD_BIN +
+                          "' --mesh=2x2 --ops=16 --warmup=0 --cache-lines=1");
+  EXPECT_EQ(r.status, 0) << r.output;
+  EXPECT_NE(r.output.find("1-line caches"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("coherence: ok"), std::string::npos) << r.output;
 }
 
 std::vector<std::uint8_t> mdwt_header() {
