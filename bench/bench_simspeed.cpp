@@ -9,13 +9,14 @@
 //                               <2% of routers hold flits on a 16x16 mesh.
 //   Burst/<k>x<k>               a burst of random unicasts driven to
 //                               quiescence — the dense-activity regime.
-//   Gather/<k>x<k>              high-degree EC-CM-HG invalidations — the
-//                               gather-heavy regime (multidestination worms,
-//                               i-ack posting, deferred pickups).
-//   TxnSetup/<k>x<k>            a small pool of (block, home, sharer-set)
-//                               patterns invalidated over and over — the
-//                               cache-hit regime where the plan cache and
-//                               route cache serve almost every transaction.
+//   Gather/<k>x<k>              planner micro-benchmark: one high-degree
+//                               EC-CM-HG invalidation per iteration, whose
+//                               planning of d = 3k sharers competes with
+//                               the kernel for wall time.
+//   TxnSetup/<k>x<k>            planner micro-benchmark over a tiny repeated
+//                               pool: 32 (block, home, sharer-set) patterns
+//                               invalidated over and over, every one
+//                               planned and routed from scratch.
 //   Stream/<k>x<k>              a zipfian synthetic workload stream replayed
 //                               through StreamRunner on every node at once —
 //                               the full-machine steady-state regime the
@@ -138,11 +139,12 @@ void BM_Burst(benchmark::State& state, int mesh_k) {
   state.SetItemsProcessed(state.iterations());
 }
 
-/// Gather-heavy regime: high-degree invalidations under the MI-MA
-/// hierarchical-gather scheme (EC-CM-HG), so most simulated work is
-/// multidestination gather worms threading column leaders, i-ack posting,
-/// and deferred pickups — the paths that exercise the worm pool and the
-/// i-ack retry queues hardest.
+/// Planner micro-benchmark: one high-degree invalidation per timed
+/// iteration under the MI-MA hierarchical-gather scheme (EC-CM-HG).  Each
+/// transaction plans d = 3k sharers and then runs multidestination gather
+/// worms threading column leaders, i-ack posting and deferred pickups, so
+/// per-transaction setup competes with the cycle kernel for wall time
+/// (DESIGN.md section 12).
 void BM_Gather(benchmark::State& state, int mesh_k) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = mesh_k;
@@ -179,12 +181,11 @@ void BM_Gather(benchmark::State& state, int mesh_k) {
   state.SetItemsProcessed(state.iterations());
 }
 
-/// Steady-state transaction setup: a fixed pool of (block, home, sharer-set)
-/// patterns is invalidated round after round, so from the second round on
-/// every plan comes out of the plan cache and every unicast route out of the
-/// route cache.  This is the regime long phased workloads settle into —
-/// the same working set of blocks invalidated repeatedly — and is the
-/// scenario the memoization layer is sized for.
+/// Planner micro-benchmark over a tiny repeated pool: 32 (block, home,
+/// sharer-set) patterns are invalidated round after round, each planned
+/// and routed from scratch.  It is the one scenario that memoizing plans
+/// and routes would speed up (DESIGN.md section 12): no benchmark workload
+/// repeats its sharer sets this often.
 void BM_TxnSetup(benchmark::State& state, int mesh_k) {
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = mesh_k;
@@ -212,7 +213,8 @@ void BM_TxnSetup(benchmark::State& state, int mesh_k) {
                                            writer, d,
                                            workload::SharerPattern::Uniform)});
   }
-  // Warm round: populate both caches so the timed loop measures hits.
+  // Untimed warm round: the timed loop starts with the pool's directory
+  // entries, cache slots and pooled worms already allocated.
   for (const Pattern& pat : pool) {
     prime(m, pat.addr, pat.sharers);
     bool done = false;

@@ -2,8 +2,9 @@
 # Full verification: clean build + tier-1 tests, a Release build with
 # bench_simspeed + mdw_workload smokes (catches perf-path code that only
 # breaks under -O2; the service-layer smoke asserts coalescing actually
-# fires, and a 64x64 run bounds the per-node memory footprint), a build
-# of the perfbench benchmark binary with one short
+# fires, a 64x64 run bounds the per-node memory footprint, and nm shows
+# that mdw_workload keeps the default operator new), a build
+# of the perfbench benchmark binary (same allocator check) with one short
 # traced paper-grids run (it compiles against src/ headers directly, so an
 # API change that breaks it shows here), a rebuild of the observability +
 # service tests under ASan/UBSan, a UBSan-only build running the complete
@@ -24,6 +25,19 @@ UBSAN_BUILD="${BUILD}-ubsan"
 TSAN_BUILD="${BUILD}-tsan"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
+# The counting operator new of tests/alloc_guard.cpp belongs to
+# test_alloc_guard alone.  A binary whose symbols list its counter has the
+# replacement allocator linked in, and pays for it on every allocation.
+check_default_allocator() {
+  local syms
+  syms="$(nm -C "$1")"
+  if grep -q alloc_guard_new_calls <<<"$syms"; then
+    echo "verify: $1 links the counting allocator of tests/alloc_guard.cpp" >&2
+    exit 1
+  fi
+  echo "default operator new: $1"
+}
+
 echo "=== tier-1: configure + build + ctest (${BUILD}) ==="
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j "$JOBS"
@@ -35,6 +49,7 @@ cmake -B "$REL_BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$REL_BUILD" -j "$JOBS" \
     --target bench_simspeed test_determinism mdw_workload_cli
 "$REL_BUILD"/tests/test_determinism
+check_default_allocator "$REL_BUILD"/src/workload/mdw_workload
 "$REL_BUILD"/src/workload/mdw_workload --gen=zipfian --mesh=8x8 \
     --ops=20000 --blocks=256 --warmup=1024
 # Service layer: pipelined + coalescing home on a write-heavy stream; the
@@ -43,9 +58,10 @@ cmake --build "$REL_BUILD" -j "$JOBS" \
     --ops=50000 --blocks=512 --outstanding=4 --depth=8 --coalesce=32 \
     --require-coalesce
 # Per-node footprint at a mesh size no benchmark workload reaches: node
-# state is allocated on first use (DESIGN.md section 11), so this 64x64 run
-# peaks near 38 MB.  Dense per-node caches took it to 130 MB.  The child's
-# peak RSS (ru_maxrss) must stay under 64 MB.
+# state is allocated on first use (DESIGN.md section 11) and no plan or
+# route memo table fills up (section 12), so this 64x64 run peaks near
+# 35 MB.  The memo tables took it to 38.5 MB and dense per-node caches to
+# 130 MB.  The child's peak RSS (ru_maxrss) must stay under 64 MB.
 python3 - "$REL_BUILD"/src/workload/mdw_workload <<'PY'
 import resource, subprocess, sys
 rc = subprocess.call([sys.argv[1], "--mesh=64x64", "--scheme=EC-CM-HG",
@@ -82,6 +98,7 @@ echo "=== benchmark: perfbench build + traced paper-grids run (${BENCH_BUILD}) =
 # workloads are.)
 cmake -S perfbench -B "$BENCH_BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BENCH_BUILD" -j "$JOBS"
+check_default_allocator "$BENCH_BUILD"/perfbench
 "$BENCH_BUILD"/perfbench --workload paper-grids --seed 1 --seconds 1 --trace 1
 
 echo

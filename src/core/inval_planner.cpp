@@ -799,9 +799,9 @@ InvalPlan plan_invalidation(Scheme scheme, const MeshShape& mesh, NodeId home,
                             const SharerBitmap& sharers, TxnId txn,
                             const noc::WormSizing& sizing) {
   // The grouping passes iterate the sharer set repeatedly; one ascending
-  // materialization here (on the PlanCache miss path only) keeps them
-  // simple.  Bitmap iteration is ascending, so this is exactly the order
-  // the sorted-vector overload requires.
+  // materialization here keeps them simple.  Bitmap iteration is
+  // ascending, so this is exactly the order the sorted-vector overload
+  // requires.
   return plan_invalidation(scheme, mesh, home, sharers.to_vector(), txn,
                            sizing);
 }

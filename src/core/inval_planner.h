@@ -12,12 +12,12 @@
 //   * the number of acknowledgment *messages* the home will receive
 //     (completion itself is detected by counting d individual acks).
 //
-// Because the plan is a pure function of (scheme, mesh, home, sharer set),
-// its immutable parts are split into InvalPattern, shared by reference:
-// per-transaction state (txn id, block address, requester) lives in the
-// small InvalDirective wrapper, so the PlanCache (plan_cache.h) can replay a
-// memoized pattern for a new transaction with one small allocation instead
-// of recomputing the grouping and re-deriving every worm path.
+// The plan is a pure function of (scheme, mesh, home, sharer set).  Its
+// transaction-independent parts sit in InvalPattern, held by reference from
+// the per-transaction InvalDirective (txn id, block address, requester).
+// The simulator plans every transaction afresh, so each pattern has one
+// directive; the split lets the replay table in plan_cache.h, a utility the
+// benchmark times, stamp one memoized pattern onto many transactions.
 #pragma once
 
 #include <memory>
@@ -51,8 +51,8 @@ struct GatherPlan {
 
 /// The immutable product of planning one (scheme, mesh, home, sharer-set)
 /// combination: sharer roles, gather blueprints, and the home identity.
-/// Shared (by shared_ptr) between every directive stamped from it — a
-/// PlanCache hit reuses the pattern across transactions.
+/// Held by shared_ptr so that the replay table in plan_cache.h can stamp one
+/// pattern onto several directives; a simulated transaction owns its own.
 struct InvalPattern {
   NodeId home = kInvalidNode;
   int total_sharers = 0;        // d

@@ -1,21 +1,17 @@
-// Memoized invalidation plans keyed on (scheme, home, sharer set).
+// Memoized invalidation plans keyed on (scheme, home, sharer set): a replay
+// utility kept for the benchmark's planner probe (perfbench/), which times
+// planning through this table against plain plan_invalidation().  The
+// simulator does not use it; every transaction is planned from scratch
+// (DESIGN.md section 12).
 //
 // plan_invalidation() is a pure function of (scheme, mesh, home, sharer
-// set): the grouping passes, worm paths, sharer roles, and gather blueprints
-// it derives do not depend on the transaction id or any simulator state.
-// Real sharing patterns repeat heavily (the same blocks are written by the
-// same producers while the same consumers cache them), so the full planning
-// pass — grouping, path derivation, BRCP conformance validation — is paid
-// over and over for identical inputs.
-//
-// The cache stores the immutable product of one planning pass:
+// set), so the table stores the immutable product of one planning pass:
 //   * the shared InvalPattern (roles, gather blueprints, home, d), and
 //   * one WormBlueprint per request-phase worm (kind, path, dests, length).
 // A hit stamps a fresh InvalDirective (txn) onto the shared pattern and
 // instantiates the request worms via noc::make_from_blueprint, which draws
 // worm ids from the same counter in the same per-plan order as fresh
-// planning — so traces, metrics, and simulated behaviour are bit-identical
-// with the cache on or off (DESIGN.md section 12).
+// planning, so a replayed plan is value-identical to a fresh one.
 //
 // Bounded open-addressed table, short linear probe window, second-chance
 // (clock) eviction inside the window, full-key verification (bitmap

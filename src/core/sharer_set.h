@@ -10,8 +10,8 @@
 //
 // Equality and hash() are canonical: trailing zero words are ignored, so two
 // bitmaps holding the same ids compare equal regardless of erase history or
-// capacity.  hash() is cheap enough for the per-transaction PlanCache probe
-// (one multiply-xor fold per occupied word).
+// capacity.  hash() keys the replay table in plan_cache.h (one
+// multiply-xor fold per occupied word).
 #pragma once
 
 #include <bit>

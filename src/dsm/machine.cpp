@@ -1,26 +1,12 @@
 #include "dsm/machine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 namespace mdw::dsm {
 
-namespace {
-
-/// MDW_NO_MEMO=1 disables the plan and route caches (DESIGN.md §12)
-/// without a params change — the differential escape hatch for verifying
-/// that memoization never alters results.
-bool memo_disabled() {
-  const char* e = std::getenv("MDW_NO_MEMO");
-  return e != nullptr && *e != '0';
-}
-
-} // namespace
-
 Machine::Machine(const SystemParams& params, obs::MetricsRegistry* metrics)
-    : p_(params), plan_cache_(memo_disabled() ? 0 : params.plan_cache_entries) {
-  if (memo_disabled()) p_.noc.route_cache_entries = 0;
+    : p_(params) {
   if (metrics == nullptr) {
     own_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics = own_metrics_.get();
@@ -96,14 +82,6 @@ void Machine::snapshot_metrics() {
   reg.counter("gather_deferred").set(ns.gather_deferred);
   reg.counter("gather_deposits").set(ns.gather_deposits);
 
-  const core::PlanCacheStats& pcs = plan_cache_.stats();
-  reg.counter("plan_cache.hits").set(pcs.hits);
-  reg.counter("plan_cache.misses").set(pcs.misses);
-  reg.counter("plan_cache.evictions").set(pcs.evictions);
-  const noc::RouteCacheStats& rcs = net_->route_cache().stats();
-  reg.counter("route_cache.hits").set(rcs.hits);
-  reg.counter("route_cache.misses").set(rcs.misses);
-  reg.counter("route_cache.evictions").set(rcs.evictions);
   net_->publish_tick_metrics();
 
   std::uint64_t forwarded = 0, consumed = 0, alloc_stalls = 0, cons_blocked = 0,

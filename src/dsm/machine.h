@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/plan_cache.h"
 #include "dsm/node.h"
 #include "noc/network.h"
 #include "obs/metrics.h"
@@ -62,7 +61,6 @@ public:
   void set_record_txns(bool on) { record_txns_ = on; }
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
-  [[nodiscard]] core::PlanCache& plan_cache() { return plan_cache_; }
 
   /// Attach (or detach, with nullptr) a trace writer to the whole stack:
   /// engine, network, and the machine's transaction spans.
@@ -104,7 +102,6 @@ private:
   obs::MetricsRegistry* metrics_;
   obs::TraceWriter* tracer_ = nullptr;
   std::unique_ptr<noc::Network> net_;
-  core::PlanCache plan_cache_;
   std::vector<std::unique_ptr<Node>> nodes_;
   TxnId next_txn_ = 1;
   MachineStats stats_;

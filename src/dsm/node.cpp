@@ -47,8 +47,7 @@ void Node::send_coh(MsgType t, BlockAddr a, NodeId dst, NodeId requester,
           ? noc::make_adaptive_unicast(algo, vnet, id_, dst, flits, txn,
                                        std::move(msg))
           : noc::make_unicast(machine_.network().mesh(), algo, vnet, id_, dst,
-                              flits, txn, std::move(msg),
-                              &machine_.network().route_cache());
+                              flits, txn, std::move(msg));
   if (reply) worm->vc_class = p_.reply_vc_class();
   oc_send(std::move(worm));
 }
@@ -339,12 +338,12 @@ void Node::launch_merged(std::vector<BlockAddr> blocks) {
   for (const BlockAddr a : blocks) {
     dir_.entry(a).sharers.for_each([&uni](NodeId n) { uni.insert(n); });
   }
-  auto plan = machine_.plan_cache().get_or_build(
-      p_.scheme, machine_.network().mesh(), id_, uni, wire, p_.sizing);
-  auto dir = std::const_pointer_cast<InvalDirective>(plan.directive);
-  dir->addr = blocks.front();
-  dir->requester = dir_.entry(blocks.front()).active.requester;
-  dir->merged_addrs = blocks;
+  auto plan = core::plan_invalidation(p_.scheme, machine_.network().mesh(),
+                                      id_, uni, wire, p_.sizing);
+  InvalDirective& dir = *plan.directive;
+  dir.addr = blocks.front();
+  dir.requester = dir_.entry(blocks.front()).active.requester;
+  dir.merged_addrs = blocks;
 
   MergedGroup g;
   g.blocks = blocks;
@@ -446,13 +445,13 @@ void Node::start_invalidation(BlockAddr a, DirEntry& e) {
   e.acks_got = 0;
   txn_addr_[txn] = a;
 
-  auto plan = machine_.plan_cache().get_or_build(
-      p_.scheme, machine_.network().mesh(), id_, e.sharers, txn, p_.sizing);
+  auto plan = core::plan_invalidation(p_.scheme, machine_.network().mesh(),
+                                      id_, e.sharers, txn, p_.sizing);
   // The directive is shared by every worm of the plan; fill in the
   // protocol-level fields.
-  auto dir = std::const_pointer_cast<InvalDirective>(plan.directive);
-  dir->addr = a;
-  dir->requester = e.active.requester;
+  InvalDirective& dir = *plan.directive;
+  dir.addr = a;
+  dir.requester = e.active.requester;
 
   InvalTxnRecord rec;
   rec.addr = a;

@@ -56,9 +56,9 @@ struct SystemParams {
   noc::WormSizing sizing{};
   SvcParams svc{};
 
-  /// Bound on the invalidation-plan memo table (core::PlanCache); 0 disables
-  /// memoization.  Purely a simulator-speed knob: results are bit-identical
-  /// at any setting (DESIGN.md section 12).
+  /// Table size for the benchmark's planner replay (core/plan_cache.h).
+  /// The simulator itself plans every transaction from scratch (DESIGN.md
+  /// section 12) and never reads this field.
   int plan_cache_entries = 4096;
 
   double cycle_ns = 5.0;   // one network cycle

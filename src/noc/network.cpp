@@ -23,7 +23,6 @@ std::string worm_trace_args(const Worm& w) {
 Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& params,
                  obs::MetricsRegistry* metrics)
     : eng_(eng), mesh_(mesh), params_(params),
-      route_cache_(params.route_cache_entries),
       heatmap_(mesh.width(), mesh.height()), tracer_(eng.trace_writer()) {
   if (metrics == nullptr) {
     own_metrics_ = std::make_unique<obs::MetricsRegistry>();

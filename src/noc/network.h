@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "noc/arena.h"
-#include "noc/route_cache.h"
 #include "noc/router.h"
 #include "noc/routing.h"
 #include "obs/heatmap.h"
@@ -82,9 +81,6 @@ public:
   [[nodiscard]] sim::Engine& engine() { return eng_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
   [[nodiscard]] const obs::LinkHeatmap& heatmap() const { return heatmap_; }
-  /// Memoized unicast routes (sized by NocParams::route_cache_entries);
-  /// shared by every protocol-level make_unicast call on this network.
-  [[nodiscard]] RouteCache& route_cache() { return route_cache_; }
 
   /// Opt-in event tracing (worm spans, i-ack bank occupancy); nullptr off.
   void set_trace_writer(obs::TraceWriter* t) { tracer_ = t; }
@@ -208,7 +204,6 @@ private:
   sim::Engine& eng_;
   MeshShape mesh_;
   NocParams params_;
-  RouteCache route_cache_;
   /// Hot router state, one flat SoA allocation (declared before routers_:
   /// the router views point into it and must be destroyed first).
   RouterArena arena_;

@@ -58,11 +58,6 @@ struct NocParams {
   int cons_buffer_flits = 2;       // consumption channel buffer depth
   int iack_entries = 4;            // i-ack buffer entries per interface
 
-  /// Bound on the memoized unicast-route table (noc::RouteCache, owned by
-  /// the Network); 0 disables memoization.  Purely a simulator-speed knob:
-  /// routing is deterministic, so results are bit-identical at any setting.
-  int route_cache_entries = 4096;
-
   /// Differential-testing reference: tick every router every cycle (the
   /// original O(W*H) sweep) instead of only the active region.  Both modes
   /// produce bit-identical simulations (tests/test_determinism.cpp compares

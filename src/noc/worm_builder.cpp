@@ -45,28 +45,16 @@ bool worm_is_well_formed(const MeshShape& mesh, RoutingAlgo algo,
 
 WormPtr make_unicast(const MeshShape& mesh, RoutingAlgo algo, VNet vnet,
                      NodeId src, NodeId dst, int length_flits, TxnId txn,
-                     std::shared_ptr<const Payload> payload,
-                     RouteCache* routes) {
+                     std::shared_ptr<const Payload> payload) {
   WormPtr w = WormPool::local().acquire();
   w->id = g_next_worm_id++;
   w->kind = WormKind::Unicast;
   w->vnet = vnet;
   w->txn = txn;
   w->src = src;
-  const std::vector<NodeId>* memo =
-      routes != nullptr ? routes->find(algo, src, dst) : nullptr;
-  if (memo != nullptr) {
-    // Memoized hop sequence: validated when the entry was filled.
-    w->path.assign(memo->begin(), memo->end());
-    w->dests.push_back(DestSpec{dst, DestAction::Deliver, 1});
-  } else {
-    append_unicast_path(algo, mesh, src, dst, w->path);
-    w->dests.push_back(DestSpec{dst, DestAction::Deliver, 1});
-    assert(worm_is_well_formed(mesh, algo, *w));
-    if (routes != nullptr) {
-      routes->insert(algo, src, dst, w->path.data(), w->path.size());
-    }
-  }
+  append_unicast_path(algo, mesh, src, dst, w->path);
+  w->dests.push_back(DestSpec{dst, DestAction::Deliver, 1});
+  assert(worm_is_well_formed(mesh, algo, *w));
   w->length_flits = length_flits;
   w->payload = std::move(payload);
   return w;

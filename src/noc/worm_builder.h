@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "noc/route_cache.h"
 #include "noc/routing.h"
 #include "noc/worm.h"
 
@@ -27,13 +26,12 @@ struct WormSizing {
   }
 };
 
-/// `routes` (optional) memoizes the hop sequence per (algo, src, dst): a hit
-/// skips base-routing path construction and conformance validation entirely.
+/// Base-routed unicast: the hop sequence is derived from (algo, src, dst)
+/// and debug-asserted BRCP-conformant on every call.
 [[nodiscard]] WormPtr make_unicast(const MeshShape& mesh, RoutingAlgo algo,
                                    VNet vnet, NodeId src, NodeId dst,
                                    int length_flits, TxnId txn,
-                                   std::shared_ptr<const Payload> payload,
-                                   RouteCache* routes = nullptr);
+                                   std::shared_ptr<const Payload> payload);
 
 /// Dynamic adaptive unicast: the path is chosen hop by hop inside the
 /// routers, among the directions `algo` permits, by downstream congestion.
@@ -53,9 +51,10 @@ struct WormSizing {
                                      int length_flits, TxnId txn,
                                      std::shared_ptr<const Payload> payload);
 
-/// Instantiate a worm from a previously validated blueprint (the PlanCache
-/// hit path): identical to make_multidest except that path/dest conformance
-/// is NOT re-checked — the blueprint was validated when it was first built.
+/// Instantiate a worm from a previously validated blueprint (the replay path
+/// of core/plan_cache.h, which only the benchmark's planner replay uses):
+/// identical to make_multidest except that path/dest conformance is NOT
+/// re-checked — the blueprint was validated when it was first built.
 [[nodiscard]] WormPtr make_from_blueprint(WormKind kind, VNet vnet,
                                           const NodeId* path,
                                           std::size_t path_len,

@@ -1,7 +1,6 @@
 // Counting global operator new/delete (see alloc_guard.h).  Linking this
-// translation unit replaces the allocator for the whole binary, and a
-// static link of mdw_sim pulls it in to resolve operator new.
-#include "sim/alloc_guard.h"
+// translation unit replaces the allocator for the whole binary.
+#include "alloc_guard.h"
 
 #include <atomic>
 #include <cstdlib>

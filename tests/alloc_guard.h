@@ -5,9 +5,8 @@
 // alloc_guard.cpp replaces the global operator new/delete with
 // malloc-forwarding versions that bump process-wide call and byte counters.
 // The replacement is installed in every binary that links that translation
-// unit.  Because the object file defines operator new itself, a static link
-// of mdw_sim pulls it in to resolve operator new, so the CLIs and benches
-// count their allocations too, not only the guard tests.
+// unit, so it is a source of test_alloc_guard alone: the simulator library,
+// the CLIs, benches, examples and the benchmark keep the default allocator.
 //
 // Usage:
 //   sim::AllocGuard guard;

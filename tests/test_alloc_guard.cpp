@@ -1,7 +1,7 @@
 // Allocation pins (DESIGN.md sections 11 and 17).
 //
-// Linking this binary pulls in sim/alloc_guard.cpp, which replaces the global
-// operator new/delete with counting versions.
+// This binary is the only one built with alloc_guard.cpp, which replaces the
+// global operator new/delete with counting versions.
 //
 // Steady state: the tests drive a raw Network through repeated identical
 // unicast rounds: the first rounds are warmup (worm pool fills, ring queues
@@ -18,12 +18,12 @@
 #include <cstdlib>
 #include <vector>
 
+#include "alloc_guard.h"
 #include "dsm/cache.h"
 #include "dsm/directory.h"
 #include "dsm/machine.h"
 #include "noc/network.h"
 #include "noc/worm_builder.h"
-#include "sim/alloc_guard.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
 
@@ -133,22 +133,31 @@ TEST(AllocGuard, DefaultDirEntryDoesNotAllocate) {
   EXPECT_EQ(guard.delta(), 0u);
 }
 
+/// Bytes a default k x k Machine requests from operator new while it is
+/// constructed.
+std::uint64_t machine_construction_bytes(int k) {
+  dsm::SystemParams p;
+  p.mesh_w = k;
+  p.mesh_h = k;
+  sim::AllocGuard guard;
+  const dsm::Machine m(p);
+  return guard.bytes();
+}
+
+// Dense 1,024-line caches alone took 25 MB at 32x32 (29.7 MB in all), and
+// the plan and route memo tables another 0.72 MB per machine.  With node
+// state allocated on first use and no memo tables, the network and the
+// nodes' fixed fields are left: about 3.19 MB at 32x32 and 0.80 MB at 16x16.
 TEST(AllocGuard, MachineConstructionFootprint32x32) {
   if (!sim::alloc_guard_active())
     GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
-  dsm::SystemParams p;
-  p.mesh_w = 32;
-  p.mesh_h = 32;
-  std::uint64_t bytes = 0;
-  {
-    sim::AllocGuard guard;
-    dsm::Machine m(p);
-    bytes = guard.bytes();
-  }
-  // Dense 1,024-line caches alone took 25 MB at 32x32 (29.7 MB in all).
-  // With node state allocated on first use, the network, the nodes' fixed
-  // fields and the memo tables are left: about 3.9 MB.
-  EXPECT_LT(bytes, 6u * 1000 * 1000);
+  EXPECT_LT(machine_construction_bytes(32), 3'500'000u);
+}
+
+TEST(AllocGuard, MachineConstructionFootprint16x16) {
+  if (!sim::alloc_guard_active())
+    GTEST_SKIP() << "counting allocator compiled out under this sanitizer";
+  EXPECT_LT(machine_construction_bytes(16), 1'000'000u);
 }
 
 } // namespace

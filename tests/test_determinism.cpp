@@ -334,73 +334,6 @@ TEST(Determinism, ContendedStallCountersAcrossKernels) {
   }
 }
 
-/// Like run_workload, but each block is invalidated twice with the same
-/// sharer set (prime, write, re-prime, write): the second invalidation of a
-/// block replays its memoized plan when the caches are on.  Unicast ack /
-/// data traffic re-uses (src, dst) pairs throughout, exercising the route
-/// cache on the same run.
-Fingerprint run_repeat_workload(core::Scheme scheme, bool caches,
-                                std::uint64_t seed) {
-  dsm::SystemParams p;
-  p.mesh_w = p.mesh_h = 8;
-  p.scheme = scheme;
-  if (!caches) {
-    p.plan_cache_entries = 0;
-    p.noc.route_cache_entries = 0;
-  }
-  dsm::Machine m(p);
-  sim::Rng rng(seed);
-  const int n = m.num_nodes();
-
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto home = static_cast<NodeId>(rng.next_below(n));
-    NodeId writer = home;
-    while (writer == home) writer = static_cast<NodeId>(rng.next_below(n));
-    const BlockAddr a =
-        static_cast<BlockAddr>(rep + 1) * static_cast<BlockAddr>(n) + home;
-    const auto sharers = workload::make_sharers(
-        rng, m.network().mesh(), home, writer, 6,
-        workload::SharerPattern::Uniform);
-    for (int round = 0; round < 2; ++round) {
-      for (NodeId s : sharers) {
-        bool done = false;
-        m.node(s).read(a, [&](std::uint64_t) { done = true; });
-        EXPECT_TRUE(m.engine().run_until([&] { return done; }, 10'000'000));
-      }
-      bool done = false;
-      m.node(writer).write(a, 1, [&] { done = true; });
-      EXPECT_TRUE(m.engine().run_until([&] { return done; }, 10'000'000));
-      EXPECT_TRUE(m.engine().run_to_quiescence(1'000'000));
-    }
-  }
-  if (caches) {
-    // The repeat rounds must actually exercise the memoized path, or this
-    // test would compare two cache-cold runs.
-    EXPECT_GT(m.plan_cache().stats().hits, 0u)
-        << "scheme " << core::scheme_name(scheme);
-    EXPECT_GT(m.network().route_cache().stats().hits, 0u)
-        << "scheme " << core::scheme_name(scheme);
-  } else {
-    EXPECT_FALSE(m.plan_cache().enabled());
-    EXPECT_EQ(m.network().route_cache().stats().hits, 0u);
-  }
-
-  return fingerprint_of(m);
-}
-
-TEST(Determinism, MemoizationCachesDoNotChangeBehaviour) {
-  // Plan-cache hits draw worm ids from the same counters in the same order
-  // as fresh planning and the route cache memoizes a pure function, so every
-  // statistic — latencies, flit-hops, occupancy, end cycle — must be
-  // bit-identical with the caches on or off.
-  for (core::Scheme s : kSchemes) {
-    const Fingerprint cached = run_repeat_workload(s, /*caches=*/true, 23);
-    const Fingerprint uncached = run_repeat_workload(s, /*caches=*/false, 23);
-    EXPECT_EQ(cached, uncached) << "scheme " << core::scheme_name(s);
-    EXPECT_GT(cached.inval_txns, 0u);
-  }
-}
-
 TEST(Determinism, MeasureInvalidationsInvariantUnderScheduler) {
   for (core::Scheme s : kSchemes) {
     analysis::InvalExperimentConfig cfg;

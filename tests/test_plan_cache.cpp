@@ -1,8 +1,8 @@
-// Unit tests for the transaction-setup memoization layer:
+// Unit tests for
 //   * core::SharerBitmap — the directory presence bits / plan-cache key,
 //   * core::PlanCache   — memoized invalidation plans (hit/miss/eviction/
 //                         disabled, and value-identity with fresh planning),
-//   * noc::RouteCache   — memoized unicast hop sequences.
+//                         the benchmark's planner-replay utility.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "core/plan_cache.h"
 #include "core/sharer_set.h"
-#include "noc/route_cache.h"
 
 namespace mdw {
 namespace {
@@ -19,8 +18,6 @@ using core::PlanCache;
 using core::Scheme;
 using core::SharerBitmap;
 using noc::MeshShape;
-using noc::RouteCache;
-using noc::RoutingAlgo;
 
 // ---------------------------------------------------------------------------
 // SharerBitmap
@@ -233,49 +230,6 @@ TEST(PlanCache, EvictsWhenBoundedAndRefills) {
                                    Scheme::EcCmHg, mesh, 0,
                                    sharers.to_vector(), hit.directive->txn - 1,
                                    sizing));
-}
-
-// ---------------------------------------------------------------------------
-// RouteCache
-// ---------------------------------------------------------------------------
-
-TEST(RouteCache, MissInsertHitRoundTrip) {
-  RouteCache cache(16);
-  ASSERT_TRUE(cache.enabled());
-  EXPECT_EQ(cache.find(RoutingAlgo::EcubeXY, 0, 5), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  const std::vector<NodeId> hops = {0, 1, 2, 5};
-  cache.insert(RoutingAlgo::EcubeXY, 0, 5, hops.data(), hops.size());
-  const auto* memo = cache.find(RoutingAlgo::EcubeXY, 0, 5);
-  ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(*memo, hops);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // The key includes the routing algorithm, not just the endpoints.
-  EXPECT_EQ(cache.find(RoutingAlgo::EcubeYX, 0, 5), nullptr);
-}
-
-TEST(RouteCache, DisabledIsInert) {
-  RouteCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  const std::vector<NodeId> hops = {0, 1};
-  cache.insert(RoutingAlgo::EcubeXY, 0, 1, hops.data(), hops.size());
-  EXPECT_EQ(cache.find(RoutingAlgo::EcubeXY, 0, 1), nullptr);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-}
-
-TEST(RouteCache, BoundedTableEvicts) {
-  RouteCache cache(4);
-  std::vector<NodeId> hops = {0, 1};
-  for (NodeId dst = 1; dst < 64; ++dst) {
-    hops[1] = dst;
-    cache.insert(RoutingAlgo::EcubeXY, 0, dst, hops.data(), hops.size());
-    // What was just inserted is immediately retrievable.
-    const auto* memo = cache.find(RoutingAlgo::EcubeXY, 0, dst);
-    ASSERT_NE(memo, nullptr);
-    EXPECT_EQ(memo->back(), dst);
-  }
-  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 } // namespace
