@@ -5,13 +5,14 @@
 # fires, a 64x64 run bounds the per-node memory footprint, and nm shows
 # that mdw_workload keeps the default operator new), a build
 # of the perfbench benchmark binary (same allocator check) with one short
-# traced paper-grids run (it compiles against src/ headers directly, so an
-# API change that breaks it shows here), a rebuild of the observability +
-# service tests under ASan/UBSan, a UBSan-only build running the complete
-# tier-1 test list (UB in the protocol/planner hot paths shows up here
-# without ASan's run-time cost), and a TSan build of the sweep, worm-pool
-# and service tests (catches data races in the thread-pool grid runner, the
-# only multi-threaded code).
+# traced paper-grids run and one untraced svc-write run, each of which must
+# print its pinned sim_fingerprint (it compiles against src/ headers
+# directly, so an API change that breaks it shows here), a rebuild of the
+# observability + service tests under ASan/UBSan, a UBSan-only build running
+# the complete tier-1 test list (UB in the protocol/planner hot paths shows
+# up here without ASan's run-time cost), and a TSan build of the sweep,
+# worm-pool and service tests (catches data races in the thread-pool grid
+# runner, the only multi-threaded code).
 #
 #   $ scripts/verify.sh [build-dir]
 set -euo pipefail
@@ -36,6 +37,25 @@ check_default_allocator() {
     exit 1
   fi
   echo "default operator new: $1"
+}
+
+# Run a perfbench unit ("$@") and fail unless it exits 0 and prints
+# sim_fingerprint $1.  The output is captured before grep reads it, and
+# printed either way.  A change that moves a fingerprint on purpose updates
+# the constant at the call and says why.
+check_fingerprint() {
+  local want="$1" out rc=0
+  shift
+  out="$("$@")" || rc=$?
+  echo "$out"
+  if ((rc != 0)); then
+    echo "verify: $* exited $rc" >&2
+    exit 1
+  fi
+  if ! grep -qx "sim_fingerprint $want" <<<"$out"; then
+    echo "verify: $* did not print sim_fingerprint $want" >&2
+    exit 1
+  fi
 }
 
 echo "=== tier-1: configure + build + ctest (${BUILD}) ==="
@@ -90,16 +110,21 @@ fi
 python3 scripts/check_simspeed.py
 
 echo
-echo "=== benchmark: perfbench build + traced paper-grids run (${BENCH_BUILD}) ==="
+echo "=== benchmark: perfbench build + paper-grids and svc-write fingerprints (${BENCH_BUILD}) ==="
 # One traced unit of e3+e4+e5+e8: every point completes with a positive
 # invalidation latency, the traced and untraced runs give the same
 # fingerprint, and four E3/E4 values match EXPERIMENTS.md; any miss exits
 # non-zero.  (The grid points are not checked for coherence; the stream
-# workloads are.)
+# workloads are.)  Its fingerprint must be the pinned one.  Then one
+# untraced unit of svc-write-16x16-uiua (about 8 s), the only benchmark
+# workload whose homes coalesce invalidations, must print its pinned one.
 cmake -S perfbench -B "$BENCH_BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BENCH_BUILD" -j "$JOBS"
 check_default_allocator "$BENCH_BUILD"/perfbench
-"$BENCH_BUILD"/perfbench --workload paper-grids --seed 1 --seconds 1 --trace 1
+check_fingerprint 0xa5f5b62b6ada5a73 \
+    "$BENCH_BUILD"/perfbench --workload paper-grids --seed 1 --seconds 1 --trace 1
+check_fingerprint 0xbe1fe032b5f36b98 \
+    "$BENCH_BUILD"/perfbench --workload svc-write-16x16-uiua --seed 1 --seconds 1 --trace 0
 
 echo
 echo "=== sanitizers: ASan/UBSan build, obs + worm-pool + stream tests (${SAN_BUILD}) ==="

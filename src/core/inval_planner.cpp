@@ -1,13 +1,11 @@
 #include "core/inval_planner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <map>
 #include <set>
 
 #include "core/sharer_set.h"
-#include "noc/worm_pool.h"
 
 namespace mdw::core {
 
@@ -746,16 +744,11 @@ void plan_wf(PlannerCtx& ctx, const std::vector<NodeId>& sharers,
 } // namespace
 
 noc::WormPtr build_gather_worm(const GatherPlan& plan, TxnId txn) {
-  noc::WormPtr w = noc::WormPool::local().acquire();
-  static std::atomic<WormId> next_id{1u << 20};
-  w->id = next_id++;
-  w->kind = WormKind::Gather;
-  w->vnet = VNet::Reply;
-  w->txn = txn;
-  w->src = plan.initiator;
-  w->path.assign(plan.path.begin(), plan.path.end());
-  w->dests.assign(plan.dests.begin(), plan.dests.end());
-  w->length_flits = plan.length_flits;
+  // The blueprint was validated when the planner built it.
+  assert(plan.path.front() == plan.initiator);
+  noc::WormPtr w = noc::make_from_blueprint(
+      WormKind::Gather, VNet::Reply, plan.path.data(), plan.path.size(),
+      plan.dests.data(), plan.dests.size(), plan.length_flits, txn, nullptr);
   w->vc_class = plan.vc_class;
   w->gathered = 1;  // the initiator's own acknowledgment
   return w;

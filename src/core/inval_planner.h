@@ -14,7 +14,7 @@
 //
 // The plan is a pure function of (scheme, mesh, home, sharer set).  Its
 // transaction-independent parts sit in InvalPattern, held by reference from
-// the per-transaction InvalDirective (txn id, block address, requester).
+// the per-transaction InvalDirective (txn id, block addresses, requester).
 // The simulator plans every transaction afresh, so each pattern has one
 // directive; the split lets the replay table in plan_cache.h, a utility the
 // benchmark times, stamp one memoized pattern onto many transactions.
@@ -66,14 +66,12 @@ struct InvalPattern {
 struct InvalDirective final : noc::Payload {
   TxnId txn = 0;
   NodeId requester = kInvalidNode;
-  BlockAddr addr = 0;           // filled in by the protocol layer
-  /// Coalesced (merged) transaction: every block this worm invalidates.
-  /// Empty for the ordinary single-block case (then `addr` is the block).
-  /// The pattern's sharer set is the UNION of the member blocks' sharers;
-  /// each recipient invalidates every listed block it holds and acks once,
-  /// so the home completes all member transactions on one ack wave
-  /// (DESIGN.md section 15).
-  std::vector<BlockAddr> merged_addrs;
+  /// Every block this worm invalidates, filled in by the protocol layer:
+  /// one, or several when the home coalesced them (DESIGN.md section 15).
+  /// The pattern's sharer set is the UNION of the blocks' sharers; each
+  /// recipient invalidates every listed block it holds and acks once, so
+  /// the home completes every block's transaction on one ack wave.
+  std::vector<BlockAddr> blocks;
   std::shared_ptr<const InvalPattern> pattern;
 
   [[nodiscard]] NodeId home() const { return pattern->home; }

@@ -33,9 +33,6 @@ struct DirEntry {
 
   // --- transient (state == Waiting) --------------------------------------
   PendingReq active;            // request being serviced
-  TxnId txn = 0;
-  int acks_needed = 0;
-  int acks_got = 0;
   bool eager_granted = false;   // RC mode: WriteReply already sent
   bool recall_outstanding = false;
   bool recall_for_write = false;

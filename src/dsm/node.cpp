@@ -274,11 +274,11 @@ void Node::dc_write(BlockAddr a, NodeId requester) {
 //
 // Every needed invalidation passes enqueue -> admit -> launch.  Under the
 // default SvcParams (depth 0 = unbounded, window 0 = off) this collapses to
-// a synchronous call into start_invalidation — event-for-event identical to
-// the pre-service-layer node (pinned by Determinism golden fingerprints).
-// The per-block `Waiting` state provides serialization: a block whose
-// invalidation is queued, parked, or in flight holds every later request to
-// it in its DirEntry queue, so no block ever appears in two transactions.
+// a synchronous one-block launch the moment the directory decides one is
+// needed (pinned by Determinism golden fingerprints).  The per-block
+// `Waiting` state provides serialization: a block whose invalidation is
+// queued, parked, or in flight holds every later request to it in its
+// DirEntry queue, so no block ever appears in two transactions.
 
 void Node::enqueue_invalidation(BlockAddr a) {
   const int depth = p_.svc.pipeline_depth;
@@ -297,7 +297,7 @@ void Node::admit_invalidation(BlockAddr a) {
   stats_.svc_pipeline_peak = std::max<std::uint64_t>(
       stats_.svc_pipeline_peak, static_cast<std::uint64_t>(live_invals_));
   if (p_.svc.coalesce_window == 0) {
-    start_invalidation(a, dir_.entry(a));
+    launch_invalidation({a});
     return;
   }
   if (coalesce_buf_.empty()) {
@@ -320,66 +320,62 @@ void Node::flush_coalesce() {
   if (coalesce_buf_.empty()) return;
   std::vector<BlockAddr> blocks = std::move(coalesce_buf_);
   coalesce_buf_.clear();
-  if (blocks.size() == 1) {
-    start_invalidation(blocks.front(), dir_.entry(blocks.front()));
-    return;
-  }
-  launch_merged(std::move(blocks));
+  launch_invalidation(std::move(blocks));
 }
 
-void Node::launch_merged(std::vector<BlockAddr> blocks) {
-  assert(blocks.size() > 1);
+void Node::launch_invalidation(std::vector<BlockAddr> blocks) {
   const TxnId wire = machine_.next_txn();
 
-  // One plan over the union of the members' sharer bitmaps.  Members'
-  // requesters may appear in the union (as sharers of OTHER members); they
-  // are invalidated like any sharer and re-install on their WriteReply.
+  // One plan over the union of the blocks' sharer bitmaps.  In a group of
+  // several, one block's requester may share another block; it is
+  // invalidated like any sharer and re-installs on its WriteReply.
   core::SharerBitmap uni;
   for (const BlockAddr a : blocks) {
     dir_.entry(a).sharers.for_each([&uni](NodeId n) { uni.insert(n); });
   }
   auto plan = core::plan_invalidation(p_.scheme, machine_.network().mesh(),
                                       id_, uni, wire, p_.sizing);
+  // The directive is shared by every worm of the plan; fill in the
+  // protocol-level fields.
   InvalDirective& dir = *plan.directive;
-  dir.addr = blocks.front();
   dir.requester = dir_.entry(blocks.front()).active.requester;
-  dir.merged_addrs = blocks;
+  dir.blocks = blocks;
 
-  MergedGroup g;
-  g.blocks = blocks;
+  InvalGroup g;
   g.acks_needed = uni.count();
   const Cycle now = machine_.engine().now();
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const BlockAddr a = blocks[i];
-    DirEntry& e = dir_.entry(a);
     ++dir_.stats().inval_txns;
-    // The leader member reuses the wire txn id and carries the plan's worm
-    // counts; later members get their own ids with zero worm counts, so
+    // The first block reuses the wire txn id and carries the plan's worm
+    // counts; later blocks get their own ids with zero worm counts, so
     // aggregate traffic accounting stays truthful.
     const TxnId mtxn = i == 0 ? wire : machine_.next_txn();
     g.member_txns.push_back(mtxn);
-    e.txn = wire;
-    e.acks_needed = g.acks_needed;
-    e.acks_got = 0;
 
     InvalTxnRecord rec;
     rec.addr = a;
     rec.home = id_;
-    rec.sharers = e.sharers.count();  // the member's own pre-merge d
+    rec.sharers = dir_.entry(a).sharers.count();  // the block's own d
     rec.request_worms = i == 0 ? static_cast<int>(plan.request_worms.size()) : 0;
     rec.ack_messages = i == 0 ? plan.expected_ack_messages : 0;
     rec.total_ack_worms = i == 0 ? plan.total_ack_worms : 0;
     rec.start = now;
     machine_.txn_started(mtxn, rec);
   }
-  ++stats_.svc_groups;
-  stats_.svc_coalesced_txns += blocks.size();
+  if (blocks.size() > 1) {
+    ++stats_.svc_groups;
+    stats_.svc_coalesced_txns += blocks.size();
+  }
+  g.blocks = std::move(blocks);
   groups_.emplace(wire, std::move(g));
 
   for (auto& w : plan.request_worms) oc_send(std::move(w));
 
   if (p_.eager_exclusive_reply) {
-    for (const BlockAddr a : blocks) {
+    // Release-consistency overlap: unblock each writer immediately; the
+    // entry stays Waiting (other requesters queue) until the acks arrive.
+    for (const BlockAddr a : dir.blocks) {
       DirEntry& e = dir_.entry(a);
       e.eager_granted = true;
       send_coh(MsgType::WriteReply, a, e.active.requester, e.active.requester,
@@ -401,23 +397,8 @@ void Node::release_inval_slots(int n) {
   }
 }
 
-void Node::group_on_ack(TxnId txn, int count) {
-  auto it = groups_.find(txn);
-  assert(it != groups_.end());
-  MergedGroup& g = it->second;
-  g.acks_got += count;
-  assert(g.acks_got <= g.acks_needed);
-  if (g.acks_got < g.acks_needed) return;
-  const MergedGroup done = std::move(it->second);
-  groups_.erase(it);
-  for (std::size_t i = 0; i < done.blocks.size(); ++i) {
-    machine_.txn_finished(done.member_txns[i]);
-    complete_member(done.blocks[i], dir_.entry(done.blocks[i]));
-  }
-  release_inval_slots(static_cast<int>(done.blocks.size()));
-}
-
 void Node::complete_member(BlockAddr a, DirEntry& e) {
+  assert(e.state == DirState::Waiting);
   e.sharers.clear();
   if (e.eager_granted) {
     // The WriteReply already went out when the transaction started.
@@ -435,62 +416,20 @@ void Node::complete_member(BlockAddr a, DirEntry& e) {
   grant(a, e);
 }
 
-// ---------------------------------------------------------------------------
-
-void Node::start_invalidation(BlockAddr a, DirEntry& e) {
-  ++dir_.stats().inval_txns;
-  const TxnId txn = machine_.next_txn();
-  e.txn = txn;
-  e.acks_needed = e.sharers.count();
-  e.acks_got = 0;
-  txn_addr_[txn] = a;
-
-  auto plan = core::plan_invalidation(p_.scheme, machine_.network().mesh(),
-                                      id_, e.sharers, txn, p_.sizing);
-  // The directive is shared by every worm of the plan; fill in the
-  // protocol-level fields.
-  InvalDirective& dir = *plan.directive;
-  dir.addr = a;
-  dir.requester = e.active.requester;
-
-  InvalTxnRecord rec;
-  rec.addr = a;
-  rec.home = id_;
-  rec.sharers = e.acks_needed;
-  rec.request_worms = static_cast<int>(plan.request_worms.size());
-  rec.ack_messages = plan.expected_ack_messages;
-  rec.total_ack_worms = plan.total_ack_worms;
-  rec.start = machine_.engine().now();
-  machine_.txn_started(txn, rec);
-
-  for (auto& w : plan.request_worms) oc_send(std::move(w));
-
-  if (p_.eager_exclusive_reply) {
-    // Release-consistency overlap: unblock the writer immediately; the
-    // entry stays Waiting (other requesters queue) until the acks arrive.
-    e.eager_granted = true;
-    send_coh(MsgType::WriteReply, a, e.active.requester, e.active.requester,
-             0, e.mem_value);
-  }
-}
-
 void Node::dc_on_ack(TxnId txn, int count) {
-  if (groups_.count(txn) > 0) {
-    group_on_ack(txn, count);
-    return;
+  auto it = groups_.find(txn);
+  assert(it != groups_.end());
+  InvalGroup& g = it->second;
+  g.acks_got += count;
+  assert(g.acks_got <= g.acks_needed);
+  if (g.acks_got < g.acks_needed) return;
+  const InvalGroup done = std::move(it->second);
+  groups_.erase(it);
+  for (std::size_t i = 0; i < done.blocks.size(); ++i) {
+    machine_.txn_finished(done.member_txns[i]);
+    complete_member(done.blocks[i], dir_.entry(done.blocks[i]));
   }
-  auto it = txn_addr_.find(txn);
-  assert(it != txn_addr_.end());
-  const BlockAddr a = it->second;
-  DirEntry& e = dir_.entry(a);
-  assert(e.state == DirState::Waiting && e.txn == txn);
-  e.acks_got += count;
-  assert(e.acks_got <= e.acks_needed);
-  if (e.acks_got < e.acks_needed) return;
-  txn_addr_.erase(it);
-  machine_.txn_finished(txn);
-  complete_member(a, e);
-  release_inval_slots(1);
+  release_inval_slots(static_cast<int>(done.blocks.size()));
 }
 
 void Node::dc_on_data(BlockAddr a, NodeId from, std::uint64_t v,
@@ -583,21 +522,16 @@ void Node::cc_schedule(Cycle extra_busy, std::function<void()> fn) {
 
 void Node::cc_invalidation(NodeId here,
                            std::shared_ptr<const InvalDirective> dir) {
-  // A merged directive invalidates every member block: one reception
+  // The directive invalidates every block of its group: one reception
   // occupancy, one cache access per block.
-  const Cycle access =
-      static_cast<Cycle>(p_.cache_access) *
-      static_cast<Cycle>(std::max<std::size_t>(1, dir->merged_addrs.size()));
+  const Cycle access = static_cast<Cycle>(p_.cache_access) *
+                       static_cast<Cycle>(dir->blocks.size());
   cc_schedule(access, [this, here, dir = std::move(dir)] {
-    if (dir->merged_addrs.empty()) {
-      cc_invalidate_block(dir->addr);
-    } else {
-      for (const BlockAddr a : dir->merged_addrs) cc_invalidate_block(a);
-    }
+    for (const BlockAddr a : dir->blocks) cc_invalidate_block(a);
     switch (dir->roles().at(here)) {
       case SharerRole::UnicastAck:
-        send_coh(MsgType::InvalAck, dir->addr, dir->home(), dir->requester,
-                 dir->txn, 0);
+        send_coh(MsgType::InvalAck, dir->blocks.front(), dir->home(),
+                 dir->requester, dir->txn, 0);
         break;
       case SharerRole::PostLocal:
         machine_.network().post_iack(here, dir->txn, 1);

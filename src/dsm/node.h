@@ -8,14 +8,16 @@
 // paper optimizes — is the sum of both at the home.
 //
 // The processor interface is MSHR-based: any number of accesses to DISTINCT
-// blocks may be outstanding at once (svc::Session drives this; the legacy
-// harnesses still issue one at a time), while a second access to a block
-// already in flight is a caller error.  The home side carries the service
-// layer's per-home machinery (DESIGN.md section 15): a bounded invalidation
-// pipeline with a FIFO overflow queue, and a coalescing window that merges
-// back-to-back invalidations into one union-sharer-set multidestination
-// worm wave.  Both are off by default (SvcParams) and the defaults are
-// event-for-event identical to the pre-service-layer node.
+// blocks may be outstanding at once (svc::Session drives this; the blocking
+// harnesses issue one at a time), while a second access to a block already
+// in flight is a caller error.  Every invalidation transaction launches as a
+// group of one or more blocks: one plan over the union of their sharer
+// sets, one request wave, one ack wave completing every block.  The home's
+// service-layer machinery (DESIGN.md section 15) decides when and with whom
+// a block launches: a bounded invalidation pipeline with a FIFO overflow
+// queue, and a coalescing window that groups back-to-back invalidations.
+// Both are off by default (SvcParams), and then each block launches alone
+// the moment the directory decides it needs invalidating.
 #pragma once
 
 #include <functional>
@@ -51,8 +53,8 @@ struct NodeStats {
   std::uint64_t svc_queue_wait_cycles = 0;  // total cycles spent waiting
   std::uint64_t svc_queue_peak = 0;      // max per-home queue depth observed
   std::uint64_t svc_pipeline_peak = 0;   // max concurrent inval txns at this home
-  std::uint64_t svc_groups = 0;          // merged (coalesced) launches
-  std::uint64_t svc_coalesced_txns = 0;  // member txns riding merged launches
+  std::uint64_t svc_groups = 0;          // launches of two or more blocks
+  std::uint64_t svc_coalesced_txns = 0;  // block txns riding those launches
 };
 
 class Node {
@@ -94,9 +96,10 @@ private:
   void dc_dispatch(std::shared_ptr<const CohMsg> m);
   void dc_read(BlockAddr a, NodeId requester);
   void dc_write(BlockAddr a, NodeId requester);
+  /// Count `count` acks toward the group launched as wire txn `txn`; the
+  /// last one completes every block of the group.
   void dc_on_ack(TxnId txn, int count);
   void dc_on_data(BlockAddr a, NodeId from, std::uint64_t v, bool writeback);
-  void start_invalidation(BlockAddr a, DirEntry& e);
   void complete_recall(BlockAddr a, DirEntry& e, std::uint64_t v,
                        bool owner_kept_shared_copy);
   void grant(BlockAddr a, DirEntry& e);
@@ -104,20 +107,20 @@ private:
 
   // --- service layer: per-home inval pipeline + coalescing ----------------
   /// Gate a needed invalidation through the per-home pipeline (entry is
-  /// already Waiting with its sharer set pruned).  Legacy defaults fall
-  /// straight through to start_invalidation.
+  /// already Waiting with its sharer set pruned).  The default SvcParams
+  /// fall straight through to a one-block launch.
   void enqueue_invalidation(BlockAddr a);
   /// A pipeline slot is taken: launch now, or park in the coalescing buffer.
   void admit_invalidation(BlockAddr a);
-  /// Launch everything parked in the coalescing buffer (merged when > 1).
+  /// Launch everything parked in the coalescing buffer as one group.
   void flush_coalesce();
-  /// Plan + launch one merged transaction over the union sharer bitmap.
-  void launch_merged(std::vector<BlockAddr> blocks);
-  /// Complete one member entry of a finished (single or merged) transaction.
+  /// Plan + launch one transaction over the union of the blocks' sharer
+  /// bitmaps.
+  void launch_invalidation(std::vector<BlockAddr> blocks);
+  /// Complete one block of a finished transaction.
   void complete_member(BlockAddr a, DirEntry& e);
   /// Release `n` pipeline slots and admit queued invalidations.
   void release_inval_slots(int n);
-  void group_on_ack(TxnId txn, int count);
 
   // --- cache controller (sharer side) --------------------------------------
   void cc_schedule(Cycle extra_busy, std::function<void()> fn);
@@ -170,12 +173,9 @@ private:
   /// home), but the line must not stay cached.
   std::unordered_set<BlockAddr> pending_inval_;
 
-  /// Home-side: transaction id -> block of the in-flight invalidation.
-  std::unordered_map<TxnId, BlockAddr> txn_addr_;
-
   // --- service-layer home-side state (idle under default SvcParams) -------
-  /// In-flight invalidation transactions at this home (members of a merged
-  /// group each count as one — they are distinct logical transactions).
+  /// In-flight invalidation transactions at this home (each block of a
+  /// group counts as one — they are distinct logical transactions).
   int live_invals_ = 0;
   /// Blocks whose invalidation waits for a pipeline slot, FIFO, with the
   /// enqueue cycle for queue-wait accounting.
@@ -187,15 +187,15 @@ private:
   /// early pipeline-full flush).
   std::uint64_t coalesce_epoch_ = 0;
 
-  /// One coalesced launch: member blocks + their per-member machine txn
+  /// One launched invalidation: its blocks and their per-block machine txn
   /// ids, completed together on the shared ack wave (wire txn is the key).
-  struct MergedGroup {
+  struct InvalGroup {
     std::vector<BlockAddr> blocks;
     std::vector<TxnId> member_txns;
     int acks_needed = 0;
     int acks_got = 0;
   };
-  std::unordered_map<TxnId, MergedGroup> groups_;
+  std::unordered_map<TxnId, InvalGroup> groups_;
 };
 
 } // namespace mdw::dsm

@@ -14,15 +14,15 @@
 
 namespace mdw::dsm {
 
-/// Coherence-service-layer knobs (DESIGN.md section 15).  The defaults
-/// (0, 0) reproduce the legacy home behaviour exactly: invalidation
-/// transactions launch the moment the directory decides one is needed,
-/// with no per-home concurrency cap and no merging.
+/// Coherence-service-layer knobs (DESIGN.md section 15).  Under the
+/// defaults (0, 0) each invalidation transaction launches, one block alone,
+/// the moment the directory decides it is needed, with no per-home
+/// concurrency cap and no merging.
 struct SvcParams {
   /// Per-home invalidation pipeline depth: at most this many invalidation
   /// transactions in flight at one home; further writes queue FIFO in the
-  /// directory controller.  0 = unbounded (legacy).  1 serializes the home
-  /// (the E11s baseline); k > 1 overlaps k transactions.
+  /// directory controller.  0 = unbounded.  1 serializes the home (the E11s
+  /// baseline); k > 1 overlaps k transactions.
   int pipeline_depth = 0;
   /// Coalescing window (cycles).  When > 0, an admitted invalidation is
   /// held up to this long; others admitted at the same home in the window

@@ -110,8 +110,6 @@ struct alignas(64) NodeWords {
   std::uint8_t ports_mask = 0;
   std::uint8_t rr_port = 0;            // round-robin pointers
   std::uint8_t rr_vc[kNumPorts] = {};
-  /// On the Network's active-router worklist (mirrors the sched_words_ bit).
-  bool scheduled = false;
 };
 static_assert(sizeof(NodeWords) == 64 && alignof(NodeWords) == 64);
 

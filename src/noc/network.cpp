@@ -48,8 +48,8 @@ Network::Network(sim::Engine& eng, const MeshShape& mesh, const NocParams& param
     bank_counter_names_.push_back("iack_bank." + std::to_string(id));
   }
   const std::size_t nwords = (static_cast<std::size_t>(n) + 63) / 64;
-  for (auto* words : {&sched_words_, &drain_words_, &inject_words_,
-                      &alloc_words_}) {
+  for (auto* words : {&drain_words_, &inject_words_, &alloc_words_,
+                      &move_words_}) {
     words->assign(nwords, 0);
   }
   // Wire the mesh: router r's output in direction d feeds the neighbour's
@@ -100,7 +100,6 @@ void Network::inject(const WormPtr& worm) {
   ++ifaces_[worm->src].inj_work;
   ifaces_[worm->src].inject_q[static_cast<int>(worm->vnet)].push_back(worm);
   mark_work(inject_words_, worm->src);
-  wake_router(worm->src);
 }
 
 void Network::reinject(NodeId at, WormPtr worm) {
@@ -110,14 +109,12 @@ void Network::reinject(NodeId at, WormPtr worm) {
   ++ifaces_[at].inj_work;
   ifaces_[at].inject_q[static_cast<int>(worm->vnet)].push_back(std::move(worm));
   mark_work(inject_words_, at);
-  wake_router(at);
 }
 
 void Network::post_iack(NodeId at, TxnId txn, int count) {
   ++cnt_.pending_posts;
   ifaces_[at].pending_posts.emplace_back(txn, count);
   mark_work(drain_words_, at);
-  wake_router(at);
 }
 
 void Network::try_pending_posts(NodeId n) {
@@ -138,7 +135,6 @@ void Network::try_pending_posts(NodeId n) {
     }
     if (released.has_value()) reinject(n, std::move(*released));
   }
-  if (iface.pending_posts.empty()) note_maybe_idle(n);
 }
 
 void Network::service_injection(NodeId n, Cycle now) {
@@ -169,7 +165,7 @@ void Network::service_injection(NodeId n, Cycle now) {
     const bool tail = st.flits_pushed == st.worm->length_flits - 1;
     ring.push_back(Flit{head, tail, now});
     ++cnt_.live_flits;
-    ++w.active_work;
+    if (w.active_work++ == 0) mark_work(move_words_, n);
     if (head) {
       ivc.ready_at = now + params_.router_delay;
       r.note_head_arrival(local, v);
@@ -219,7 +215,7 @@ template <class F>
 void Network::for_each_set(const std::vector<std::uint64_t>& words, int start,
                            F&& f) {
   // Each word is visited once; within the current word the bitmap is
-  // re-read after every callback, so bits set by mid-phase wakes at
+  // re-read after every callback, so bits set by mid-phase marks at
   // positions the cursor has not passed yet are picked up (see header).
   auto scan_word = [&](int wi, std::uint64_t mask) {
     while (true) {
@@ -248,12 +244,6 @@ void Network::sweep_marked(std::vector<std::uint64_t>& words, int start,
       words[static_cast<std::size_t>(id) >> 6] &= ~(1ull << (id & 63));
     }
   });
-}
-
-bool Network::node_has_work(NodeId id) const {
-  if (arena_.words(id).active_work > 0) return true;
-  const NetIface& iface = ifaces_[id];
-  return iface.inj_work > 0 || !iface.pending_posts.empty();
 }
 
 bool Network::tick(Cycle now) {
@@ -309,20 +299,11 @@ bool Network::tick(Cycle now) {
         alloc_words_, start, [&](NodeId id) { routers_[id].allocate(now); },
         [&](NodeId id) { return arena_.words(id).pending == 0; });
   }
-  for_each_set(sched_words_, start,
-               [&](NodeId id) { routers_[id].traverse(now); });
-
-  // Deschedule fully drained routers; they re-enter via wake_router.  Only
-  // routers that hit a work-emptying transition this cycle (note_maybe_idle)
-  // can have turned idle, so only those are re-checked.
-  for (const NodeId id : idle_checks_) {
-    NodeWords& w = arena_.words(id);
-    if (w.scheduled && !node_has_work(id)) {
-      w.scheduled = false;
-      sched_words_[static_cast<std::size_t>(id) >> 6] &= ~(1ull << (id & 63));
-    }
-  }
-  idle_checks_.clear();
+  // A router without resident flits is absent from phase 4: its traverse
+  // visit would return before touching its round-robin pointers.
+  sweep_marked(
+      move_words_, start, [&](NodeId id) { routers_[id].traverse(now); },
+      [&](NodeId id) { return arena_.words(id).active_work == 0; });
   return true;
 }
 

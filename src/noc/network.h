@@ -1,13 +1,13 @@
 // Whole-network model: a W x H mesh of wormhole routers plus one network
 // interface (NI) per node.
 //
-// The Network is a sim::Tickable: each cycle it runs the three router phases
-// over all routers (with a rotating start index so allocation arbitration is
-// fair across nodes) and services the per-node injection queues.  The tick
-// is work-driven (DESIGN.md section 9): the drain, injection and allocation
-// phases visit only the routers their work masks mark, in the exhaustive
-// sweep's order, and the routers park heads and VCs that cannot move until a
-// neighbour frees what they wait for (router.h).
+// The Network is a sim::Tickable: each cycle it runs four phases — i-ack
+// posts and consumption drain, NI injection, head allocation, switch
+// traversal — with a rotating start index so arbitration is fair across
+// nodes.  The tick is work-driven (DESIGN.md section 9): each of the four phases visits only
+// the routers its work mask marks, in the exhaustive sweep's order, and the
+// routers park heads and VCs that cannot move until a neighbour frees what
+// they wait for (router.h).
 #pragma once
 
 #include <array>
@@ -44,7 +44,7 @@ struct NetIface {
   /// i-ack posts that found the bank full and must retry.
   sim::RingQueue<std::pair<TxnId, int>> pending_posts;
   /// Worms queued in inject_q plus worms mid-stream: lets service_injection
-  /// and node_has_work skip the per-VC scan when the NI is idle.
+  /// skip the per-VC scan when the NI is idle.
   int inj_work = 0;
 };
 
@@ -154,36 +154,10 @@ public:
     cnt_.pending_heads_total += delta;
     if (delta > 0) mark_work(alloc_words_, id);
   }
-  /// A work counter at node `id` just reached zero: queue it for the
-  /// end-of-tick deschedule check.  Only these transition points can turn
-  /// node_has_work false, so checking the queued candidates is equivalent to
-  /// re-checking every scheduled router each cycle (duplicates are harmless —
-  /// the check is idempotent).
-  void note_maybe_idle(NodeId id) {
-    if (!full_sweep_) idle_checks_.push_back(id);
-  }
-  /// Put router `id` on the active worklist (no-op if already there, or in
-  /// full-sweep mode).  Called on injection, incoming flits, and i-ack
-  /// posts.  During a tick the router is spliced into the current sweep at
-  /// its rotating-arbitration position, so activity discovered mid-cycle is
-  /// handled exactly when the exhaustive sweep would have reached it.
-  /// Inline two-word fast path: dense traffic re-wakes already-scheduled
-  /// routers almost every flit, so the `scheduled` test must not cost a
-  /// call.  The overload taking `words` serves callers that already hold
-  /// the node's cached NodeWords (Router::try_move_flit via OutLink).
-  void wake_router(NodeId id) { wake_router(id, arena_.words(id)); }
-  void wake_router(NodeId id, NodeWords& w) {
-    if (full_sweep_ || w.scheduled) return;
-    w.scheduled = true;
-    mark_work(sched_words_, id);
-  }
+  /// Router `id`, which held no flit, got one: mark it for phase 4.
+  void on_flit_arrival(NodeId id) { mark_work(move_words_, id); }
 
-  /// True while the node can make progress without an external wake: flits
-  /// resident in the router, posts to retry, or worms queued/streaming at
-  /// the NI.  A false return means the router may be descheduled.
-  [[nodiscard]] bool node_has_work(NodeId id) const;
-
-  /// Active-region vs exhaustive-sweep scheduling (differential testing).
+  /// Work-driven vs exhaustive-sweep scheduling (differential testing).
   [[nodiscard]] bool full_sweep() const { return full_sweep_; }
 
 private:
@@ -221,13 +195,13 @@ private:
   alignas(64) int rotate_ = 0;
   NetCounters cnt_;
 
-  /// Visit every router whose bit is set in `words` (sched_words_ or a
-  /// phase work mask) in (id - start) mod n order — the order the exhaustive
-  /// sweep uses.  The bitmap is re-read word by word, so a router woken
-  /// mid-phase at a position the cursor has not yet passed is visited this
-  /// phase (exactly when the full sweep would have reached it); one woken
-  /// behind the cursor waits for the next phase's rescan, which is what the
-  /// full sweep would have done too (it passes an empty router).
+  /// Visit every router whose bit is set in `words` (a phase work mask) in
+  /// (id - start) mod n order — the order the exhaustive sweep uses.  The
+  /// bitmap is re-read word by word, so a router marked mid-phase at a
+  /// position the cursor has not yet passed is visited this phase (exactly
+  /// when the full sweep would have reached it); one marked behind the
+  /// cursor waits for the next phase's rescan, which is what the full sweep
+  /// would have done too (it passes a router without that work).
   template <class F>
   void for_each_set(const std::vector<std::uint64_t>& words, int start, F&& f);
   /// Phase-visit helper: visit the routers marked in `words`; clear the bit
@@ -235,33 +209,26 @@ private:
   template <class F, class Idle>
   void sweep_marked(std::vector<std::uint64_t>& words, int start, F&& f,
                     Idle&& idle);
-  /// Set router `id`'s bit in `words`: sched_words_ or a phase work mask
-  /// (see the masks below).  Every site that adds drain/post, injection or
-  /// allocation work marks its mask, so the masks stay exact.
+  /// Set router `id`'s bit in the phase work mask `words` (see the masks
+  /// below).  Every site that adds a phase's work marks its mask, so the
+  /// masks stay exact.
   void mark_work(std::vector<std::uint64_t>& words, NodeId id) {
     if (full_sweep_) return;
     words[static_cast<std::size_t>(id) >> 6] |= 1ull << (id & 63);
   }
 
-  // --- active-region scheduling (see DESIGN.md "Scheduling model") --------
-  bool full_sweep_ = false;              // escape hatch: tick all routers
-  /// One bit per router: on the active region (mirrors NodeWords::scheduled).
-  /// Replaces a sorted worklist vector — waking is a bit-set, and each tick
-  /// phase streams the words in rotated order instead of sorting.
-  std::vector<std::uint64_t> sched_words_;
-  /// Per-phase work masks, one bit per router, a superset of the scheduled
-  /// routers holding that phase's work: pending posts or consumption flits
-  /// (drain), queued or streaming worms (inject), pending heads (alloc).
-  /// Set by mark_work, cleared lazily by a visit that leaves the router
-  /// without that work.  Traverse keeps sweeping sched_words_: every
-  /// scheduled router's visit bumps its round-robin port pointer.  Unused in
-  /// full-sweep mode.
+  // --- work-driven scheduling (see DESIGN.md "Scheduling model") ----------
+  bool full_sweep_ = false;              // reference mode: tick all routers
+  /// Per-phase work masks, one bit per router, a superset of the routers
+  /// holding that phase's work: pending posts or consumption flits (drain),
+  /// queued or streaming worms (inject), pending heads (alloc), resident
+  /// flits (move; marked when a router's active_work leaves zero).  Set by
+  /// mark_work, cleared lazily by a visit that leaves the router without
+  /// that work.  Unused in full-sweep mode.
   std::vector<std::uint64_t> drain_words_;
   std::vector<std::uint64_t> inject_words_;
   std::vector<std::uint64_t> alloc_words_;
-  /// Routers whose work count hit zero this cycle (see note_maybe_idle);
-  /// drained and cleared by the end-of-tick deschedule pass.
-  std::vector<NodeId> idle_checks_;
+  std::vector<std::uint64_t> move_words_;
 
   /// Precomputed "iack_bank.<n>" counter names (see trace_bank_occupancy).
   std::vector<std::string> bank_counter_names_;

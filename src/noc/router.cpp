@@ -60,7 +60,6 @@ void Router::drain_consumption(Cycle now) {
       net_.commit_delivery(id_, std::move(cowner_[c]), fin, now);
     }
   }
-  if (words_->active_work == 0) net_.note_maybe_idle(id_);
 }
 
 bool Router::try_allocate_head(int port, int s, VcHot& v, Cycle now) {
@@ -384,8 +383,8 @@ bool Router::try_move_flit(int port, int vidx, VcHot& v, Cycle now) {
     ring.pop_front();
     dring.push_back(Flit{f.head(), f.tail(), now});
     --words_->active_work;
-    ++link.nbr_words->active_work;
-    net_.wake_router(link.nbr, *link.nbr_words);
+    // A router holding flits is already marked for phase 4.
+    if (link.nbr_words->active_work++ == 0) net_.on_flit_arrival(link.nbr);
     if (f.head()) {
       vowner_[s]->head_hop += 1;
       dvc.ready_at = now + params_->router_delay;
@@ -427,7 +426,6 @@ bool Router::try_move_flit(int port, int vidx, VcHot& v, Cycle now) {
       words_->ports_mask &= static_cast<std::uint8_t>(~(1u << port));
     }
   }
-  if (words_->active_work == 0) net_.note_maybe_idle(id_);
   return true;
 }
 

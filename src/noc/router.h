@@ -58,10 +58,11 @@ struct NocParams {
   int cons_buffer_flits = 2;       // consumption channel buffer depth
   int iack_entries = 4;            // i-ack buffer entries per interface
 
-  /// Differential-testing reference: tick every router every cycle (the
-  /// original O(W*H) sweep) instead of only the active region.  Both modes
-  /// produce bit-identical simulations (tests/test_determinism.cpp compares
-  /// them); see DESIGN.md "Scheduling model".
+  /// Differential-testing reference: tick every router in every phase (the
+  /// original O(W*H) sweep) instead of only the routers each phase's work
+  /// mask marks.  Both modes produce bit-identical simulations
+  /// (tests/test_determinism.cpp compares them); see DESIGN.md "Scheduling
+  /// model".
   bool full_sweep = false;
 
   [[nodiscard]] int vcs_total() const { return kNumVNets * vcs_per_vnet; }

@@ -51,10 +51,12 @@ struct WormSizing {
                                      int length_flits, TxnId txn,
                                      std::shared_ptr<const Payload> payload);
 
-/// Instantiate a worm from a previously validated blueprint (the replay path
-/// of core/plan_cache.h, which only the benchmark's planner replay uses):
-/// identical to make_multidest except that path/dest conformance is NOT
-/// re-checked — the blueprint was validated when it was first built.
+/// Instantiate a worm from a previously validated blueprint (a planned
+/// i-gather worm, core::build_gather_worm, and the benchmark's planner
+/// replay, core/plan_cache.h): identical to make_multidest except that
+/// path/dest conformance is NOT re-checked — the blueprint was validated
+/// when it was first built.  Every builder here draws its Worm::id from one
+/// process-wide counter, so ids are unique.
 [[nodiscard]] WormPtr make_from_blueprint(WormKind kind, VNet vnet,
                                           const NodeId* path,
                                           std::size_t path_len,

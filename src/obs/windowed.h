@@ -1,8 +1,8 @@
 // Windowed steady-state statistics for long streaming runs.
 //
 // Long workload replays have two regimes: a warmup transient (cold caches,
-// empty directories, plan/route caches filling) and the steady state the
-// experiments actually care about.  WindowedStats drops everything before a
+// empty directories) and the steady state the experiments actually care
+// about.  WindowedStats drops everything before a
 // caller-declared warmup cutoff, then buckets completed accesses and
 // invalidation transactions into fixed-width cycle windows, keeping one
 // latency histogram per window so each window reports its own percentiles.

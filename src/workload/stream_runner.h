@@ -24,8 +24,8 @@ struct StreamRunnerOptions {
   /// stands in for the instructions between memory ops.
   Cycle think = 4;
   /// Accesses to retire before steady-state collection starts (cold
-  /// caches, empty directories, plan/route caches filling).  0: no warmup,
-  /// every sample is steady-state.
+  /// caches, empty directories).  0: no warmup, every sample is
+  /// steady-state.
   std::uint64_t warmup_accesses = 0;
   /// Steady-state window width (cycles).
   Cycle window_cycles = 10'000;

@@ -4,11 +4,11 @@
 //   1. Reproducibility: the same seed produces an identical stats
 //      fingerprint (worms injected/delivered, link flit-hops, invalidation
 //      latency sums) across back-to-back runs.
-//   2. Scheduling equivalence: the active-region router worklist
-//      (Network's default) and the exhaustive full sweep (the
-//      NocParams::full_sweep reference mode) are bit-identical — same
-//      latencies, flit-hops, and occupancy for every scheme, both for
-//      isolated transactions and under concurrency.
+//   2. Scheduling equivalence: the work-driven tick (Network's default,
+//      which visits only the routers each phase's work mask marks) and the
+//      exhaustive full sweep (the NocParams::full_sweep reference mode) are
+//      bit-identical — same latencies, flit-hops, and occupancy for every
+//      scheme, both for isolated transactions and under concurrency.
 //
 // Every fingerprint also carries the routers' stall counters: the work-driven
 // tick skips allocation and traversal retries that cannot succeed and counts
@@ -18,7 +18,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -250,6 +252,58 @@ struct ContendedCase {
   bool adaptive_unicast;
 };
 
+/// A coalescing home for run_contended: the block pool (the cache grows
+/// with it, one line per block), the svc pipeline and window, and the
+/// consistency model.
+struct CoalescingHome {
+  std::uint32_t blocks;
+  dsm::SvcParams svc;
+  bool eager_exclusive_reply;
+};
+
+/// What the homes did in one run: the svc counters summed over the nodes,
+/// and a hash of every transaction record (addr, home, sharers, start, end)
+/// — the fields perfbench fingerprints.
+struct HomeCounts {
+  std::uint64_t svc_groups = 0;
+  std::uint64_t svc_coalesced_txns = 0;
+  std::uint64_t svc_enqueued = 0;
+  std::uint64_t svc_queue_wait_cycles = 0;
+  std::uint64_t records_hash = 0;
+
+  bool operator==(const HomeCounts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const HomeCounts& h) {
+  return os << "{" << h.svc_groups << ", " << h.svc_coalesced_txns << ", "
+            << h.svc_enqueued << ", " << h.svc_queue_wait_cycles << ", 0x"
+            << std::hex << h.records_hash << std::dec << "}";
+}
+
+HomeCounts home_counts_of(dsm::Machine& m) {
+  HomeCounts h;
+  for (NodeId id = 0; id < m.num_nodes(); ++id) {
+    const dsm::NodeStats& n = m.node(id).stats();
+    h.svc_groups += n.svc_groups;
+    h.svc_coalesced_txns += n.svc_coalesced_txns;
+    h.svc_enqueued += n.svc_enqueued;
+    h.svc_queue_wait_cycles += n.svc_queue_wait_cycles;
+  }
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a over 64-bit words
+  const auto add = [&hash](std::uint64_t v) {
+    hash = (hash ^ v) * 1099511628211ull;
+  };
+  for (const dsm::InvalTxnRecord& rec : m.stats().records) {
+    add(rec.addr);
+    add(static_cast<std::uint64_t>(rec.home));
+    add(static_cast<std::uint64_t>(rec.sharers));
+    add(rec.start);
+    add(rec.end);
+  }
+  h.records_hash = hash;
+  return h;
+}
+
 /// A short contended stream: write-heavy zipfian accesses from 16-node
 /// groups on 8x8 with 4 outstanding per node through svc sessions, 2-flit
 /// VC buffers, two 1-flit consumption channels and one i-ack entry per
@@ -258,23 +312,33 @@ struct ContendedCase {
 /// consumption channel one cycle and on its output VC the next.
 /// The block pool fits the cache (one block per line), which keeps a node
 /// from evicting and re-requesting a block with its Writeback in flight.
+/// With `home` set, the homes pipeline and coalesce their invalidations, the
+/// pool and the cache grow together, and `counts` receives what they did.
 Fingerprint run_contended(const ContendedCase& c, bool full_sweep,
-                          noc::TickWork* work = nullptr) {
+                          noc::TickWork* work = nullptr,
+                          const std::optional<CoalescingHome>& home = {},
+                          HomeCounts* counts = nullptr) {
+  const std::uint32_t blocks = home ? home->blocks : 64;
   dsm::SystemParams p;
   p.mesh_w = p.mesh_h = 8;
   p.scheme = c.scheme;
   p.adaptive_unicast = c.adaptive_unicast;
-  p.cache_lines = 64;
+  p.cache_lines = static_cast<int>(blocks);
+  if (home) {
+    p.svc = home->svc;
+    p.eager_exclusive_reply = home->eager_exclusive_reply;
+  }
   p.noc.vc_buffer_flits = 2;
   p.noc.consumption_channels = 2;
   p.noc.cons_buffer_flits = 1;
   p.noc.iack_entries = 1;
   p.noc.full_sweep = full_sweep;
   dsm::Machine m(p);
+  m.set_record_txns(counts != nullptr);
   workload::GenConfig g;
   g.kind = workload::GenKind::Zipfian;
   g.nprocs = m.num_nodes();
-  g.nblocks = 64;
+  g.nblocks = blocks;
   g.write_fraction = 0.6;
   g.group = 16;
   g.ops_per_proc = 20;
@@ -282,6 +346,11 @@ Fingerprint run_contended(const ContendedCase& c, bool full_sweep,
   const auto src = workload::make_generator(g, m.network().mesh());
   workload::StreamRunnerOptions opt;
   opt.outstanding = 4;
+  // One i-ack entry per router deadlocks under enough load (EXPERIMENTS.md
+  // E9; 40 ops per node here under WF-SC-SG with coalescing homes).  Such a
+  // run must fail, not spin to the default 2e9-cycle budget.  The pinned
+  // runs end before cycle 40,000.
+  opt.max_cycles = 1'000'000;
   workload::StreamRunner runner(m, *src, opt);
   const workload::StreamResult r = runner.run();
   EXPECT_TRUE(r.completed) << r.describe_stalls();
@@ -292,6 +361,7 @@ Fingerprint run_contended(const ContendedCase& c, bool full_sweep,
       work->vc_parks += t.vc_parks;
     }
   }
+  if (counts != nullptr) *counts = home_counts_of(m);
   return fingerprint_of(m);
 }
 
@@ -331,6 +401,61 @@ TEST(Determinism, ContendedStallCountersAcrossKernels) {
     }
     EXPECT_GT(work.head_parks, 0u) << name;
     EXPECT_GT(work.vc_parks, 0u) << name;
+  }
+}
+
+TEST(Determinism, CoalescingHomeGoldensAcrossKernels) {
+  // The contended stream through pipelined (depth 2), coalescing (128-cycle
+  // window) homes, so every scheme launches two-block groups beside
+  // one-block ones, with and without the eager exclusive grant.  No home
+  // here ever holds three invalidations at once, so the queue counters pin
+  // at zero.  The pins were captured before one-block and multi-block
+  // launches shared one code path; both scheduling modes must land on them
+  // exactly.
+  const dsm::SvcParams svc{.pipeline_depth = 2, .coalesce_window = 128};
+  const struct {
+    ContendedCase c;
+    bool eager;
+    Fingerprint golden;
+    HomeCounts home;
+  } pins[] = {
+      {{core::Scheme::UiUa, false}, false,
+       {4402, 4402, 0, 539088, 0, 0, 199, 44173, 137018, 22995,
+        {70228, 4876, 0, 539088, 65352}},
+       {7, 14, 0, 0, 0x507cb84ca085ad44}},
+      {{core::Scheme::UiUa, false}, true,
+       {4072, 4072, 0, 494080, 0, 0, 187, 47118, 126328, 17588,
+        {76876, 4415, 0, 494080, 72461}},
+       {5, 10, 0, 0, 0xc011f3be9f31555e}},
+      {{core::Scheme::EcCmHg, false}, false,
+       {4310, 4203, 50, 534701, 18, 107, 207, 49687, 133108, 23497,
+        {69158, 4871, 2838, 534701, 61449}},
+       {4, 8, 0, 0, 0x58e655c8dccff2b2}},
+      {{core::Scheme::EcCmHg, false}, true,
+       {3974, 3881, 43, 483378, 24, 93, 196, 47474, 122586, 15456,
+        {74844, 4686, 585, 483378, 69573}},
+       {5, 10, 0, 0, 0xf9002a17dac6fdcc}},
+      {{core::Scheme::WfScSg, true}, false,
+       {4087, 4087, 239, 549636, 0, 0, 210, 53489, 131822, 29512,
+        {204484, 853, 80, 549636, 203551}},
+       {2, 4, 0, 0, 0xd10b820b2b44431a}},
+      {{core::Scheme::WfScSg, true}, true,
+       {3834, 3834, 212, 505392, 1, 0, 194, 50562, 123040, 23188,
+        {194763, 704, 55, 505392, 194004}},
+       {1, 2, 0, 0, 0xe3dd25a863169f52}},
+  };
+  for (const auto& pin : pins) {
+    const std::string name = std::string(core::scheme_name(pin.c.scheme)) +
+                             (pin.eager ? " eager" : "");
+    const CoalescingHome home{256, svc, pin.eager};
+    for (bool full_sweep : {false, true}) {
+      HomeCounts counts;
+      EXPECT_EQ(run_contended(pin.c, full_sweep, nullptr, home, &counts),
+                pin.golden)
+          << name << (full_sweep ? " (full sweep)" : "");
+      EXPECT_EQ(counts, pin.home) << name << (full_sweep ? " (full sweep)" : "");
+      EXPECT_GT(counts.svc_groups, 0u) << name;
+    }
   }
 }
 

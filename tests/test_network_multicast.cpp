@@ -229,6 +229,17 @@ TEST(NetworkMulticast, WestFirstSerpentineWormDelivers) {
   EXPECT_EQ(f.delivered.size(), 4u);
 }
 
+TEST(NetworkMulticast, IackPostIsDrainWorkOnly) {
+  // An i-ack post adds phase-1 work and no flit, so the posting router is
+  // drained once and never visited by phase 4 (traverse).
+  Fixture f({}, 4, 4);
+  f.net.post_iack(5, 7, 1);
+  EXPECT_TRUE(f.eng.run_to_quiescence(1000));
+  const TickWork& work = f.net.router(5).tick_work();
+  EXPECT_EQ(work.drain_visits, 1u);
+  EXPECT_EQ(work.traverse_visits, 0u);
+}
+
 TEST(NetworkMulticast, ConcurrentMulticastsToDisjointColumnsProgress) {
   Fixture f;
   // Several homes invalidate different columns concurrently.

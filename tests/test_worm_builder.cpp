@@ -2,6 +2,7 @@
 // protect the router from malformed multidestination worms.
 #include <gtest/gtest.h>
 
+#include "core/inval_planner.h"
 #include "noc/worm_builder.h"
 
 namespace mdw::noc {
@@ -103,6 +104,28 @@ TEST(WormBuilder, UniqueWormIds) {
   auto b = make_unicast(mesh, RoutingAlgo::EcubeXY, VNet::Request, 0, 5, 8, 1,
                         nullptr);
   EXPECT_NE(a->id, b->id);
+}
+
+TEST(WormBuilder, GatherWormsDrawFromTheSharedIdCounter) {
+  // An i-gather worm and a unicast built back to back get consecutive ids:
+  // one counter numbers every worm, so ids stay unique however many worms a
+  // process builds.
+  core::GatherPlan plan;
+  plan.initiator = mesh.id_of({2, 0});
+  plan.path = {mesh.id_of({2, 0}), mesh.id_of({1, 0}), mesh.id_of({0, 0})};
+  plan.dests = {DestSpec{mesh.id_of({0, 0}), DestAction::Deliver, 1}};
+  plan.length_flits = 8;
+  plan.vc_class = 1;
+  const WormPtr g = core::build_gather_worm(plan, 9);
+  const WormPtr u = make_unicast(mesh, RoutingAlgo::EcubeXY, VNet::Request,
+                                 0, 5, 8, 1, nullptr);
+  EXPECT_EQ(u->id, g->id + 1);
+  EXPECT_EQ(g->kind, WormKind::Gather);
+  EXPECT_EQ(g->vnet, VNet::Reply);
+  EXPECT_EQ(g->src, plan.initiator);
+  EXPECT_EQ(g->txn, 9u);
+  EXPECT_EQ(g->vc_class, 1);
+  EXPECT_EQ(g->gathered, 1);
 }
 
 TEST(WormBuilder, SizingModel) {
