@@ -13,6 +13,7 @@
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/trace_writer.h"
+#include "sim/cli.h"
 
 namespace mdw::bench {
 
@@ -29,15 +30,17 @@ inline void banner(const char* exp_id, const char* what) {
 }
 
 /// Bench command-line options.  Every bench binary parses its argv through
-/// parse_options, and any unrecognized or misspelled `--` flag (e.g.
-/// `--metric-json=` for `--metrics-json=`) is a hard usage error — flags
-/// are never silently dropped.
+/// parse_options (strictly, via sim/cli.h), and any unrecognized or
+/// misspelled `--` flag (e.g. `--metric-json=` for `--metrics-json=`) or
+/// malformed value is a usage error (exit 2) — flags are never silently
+/// dropped.
 ///
 /// All benches:
 ///   --metrics-json=<path>   write the metrics registry + per-link heatmap
 ///   --trace=<path>          write a Chrome trace (chrome://tracing, Perfetto)
 /// Sweep-migrated benches (E3, E4, E5, E8) additionally accept:
-///   --jobs=N                sweep worker threads (default: hw concurrency)
+///   --jobs=N                sweep worker threads, N >= 1 (default: hw
+///                           concurrency)
 ///   --points-json=<path>    write per-point sweep results as JSON
 ///   --no-progress           suppress the stderr progress line
 struct BenchOptions {
@@ -52,32 +55,34 @@ struct BenchOptions {
   [[nodiscard]] bool tracing() const { return !trace.empty(); }
 };
 
+inline void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--metrics-json=<path>] [--trace=<path>]\n",
+               argv0);
+}
+
+inline void sweep_usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--metrics-json=<path>] [--trace=<path>] "
+               "[--jobs=N] [--points-json=<path>] [--no-progress]\n",
+               argv0);
+}
+
 /// `sweep`: accept the sweep-runner flags too (the migrated grid benches).
 inline BenchOptions parse_options(int argc, char** argv, bool sweep = false) {
   BenchOptions opt;
-  auto fail = [&](const std::string& a) {
-    std::fprintf(stderr,
-                 "unknown option '%s'\nusage: %s [--metrics-json=<path>] "
-                 "[--trace=<path>]%s\n",
-                 a.c_str(), argv[0],
-                 sweep ? " [--jobs=N] [--points-json=<path>] [--no-progress]"
-                       : "");
-    std::exit(2);
-  };
+  const cli::FlagParser cli(argv[0], sweep ? sweep_usage : usage);
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--metrics-json=", 0) == 0) {
-      opt.metrics_json = a.substr(15);
-    } else if (a.rfind("--trace=", 0) == 0) {
-      opt.trace = a.substr(8);
-    } else if (sweep && a.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::atoi(a.c_str() + 7);
-    } else if (sweep && a.rfind("--points-json=", 0) == 0) {
-      opt.points_json = a.substr(14);
-    } else if (sweep && a == "--no-progress") {
+    if (cli.flag(a, "--metrics-json", opt.metrics_json) ||
+        cli.flag(a, "--trace", opt.trace) ||
+        (sweep && (cli.positive_flag(a, "--jobs", opt.jobs) ||
+                   cli.flag(a, "--points-json", opt.points_json)))) {
+      continue;
+    }
+    if (sweep && a == "--no-progress") {
       opt.progress = false;
     } else {
-      fail(a);
+      cli.die("unknown option '" + a + "'");
     }
   }
   return opt;

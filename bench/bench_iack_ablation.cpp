@@ -74,10 +74,13 @@ int main() {
     }
     t.print(std::cout);
   }
-  std::printf("\nExpected shape: latency is flat from 2-4 entries on (the "
-              "paper's sizing claim); a single entry shows bank-blocking "
-              "under concurrent transactions.  Fewer consumption channels "
-              "serialize forward-and-absorb at shared intermediate "
-              "destinations.\n");
+  std::printf("\nExpected shape: EC-CM-CG and WF-PB-SG are flat from 2 "
+              "entries on, EC-CM-HG from 3 (the paper proposes 2-4); fewer "
+              "entries show bank-blocking or deadlock under concurrent "
+              "transactions.  Fewer consumption channels serialize "
+              "forward-and-absorb at shared intermediate destinations; 1 "
+              "channel deadlocks WF-PB-SG.  \"deadlock\" means the round "
+              "did not complete within measure_hotspot's 1,000,000-cycle "
+              "budget, not a detected wait-for cycle.\n");
   return 0;
 }

@@ -1,6 +1,8 @@
 // Microbenchmarks (google-benchmark): throughput of the simulator's hot
-// components — planner, router pipeline, end-to-end protocol ops.  These are
-// engineering benchmarks for the simulator itself, not paper experiments.
+// components — the invalidation planner and end-to-end protocol operations
+// (a clean read miss, a whole EC-CM-HG invalidation).  These are engineering
+// benchmarks for the simulator itself, not paper experiments; the dense
+// network is perfbench's zipf-32x32-mima workload.
 #include <benchmark/benchmark.h>
 
 #include "core/inval_planner.h"
@@ -33,32 +35,6 @@ BENCHMARK(BM_PlanInvalidation)
     ->Args({static_cast<int>(core::Scheme::UiUa), 32})
     ->Args({static_cast<int>(core::Scheme::EcCmHg), 32})
     ->Args({static_cast<int>(core::Scheme::WfScSg), 32});
-
-void BM_NetworkSaturatedTicks(benchmark::State& state) {
-  // Cycles/second of the flit-level network under all-to-one load.
-  sim::Engine eng;
-  const noc::MeshShape mesh(8, 8);
-  noc::Network net(eng, mesh, noc::NocParams{});
-  net.set_delivery_handler([](NodeId, const noc::WormPtr&) {});
-  sim::Rng rng(3);
-  int live = 0;
-  for (int i = 0; i < 200; ++i) {
-    const auto s = static_cast<NodeId>(rng.next_below(64));
-    const auto dnode = static_cast<NodeId>(rng.next_below(64));
-    if (s == dnode) continue;
-    net.inject(noc::make_unicast(mesh, noc::RoutingAlgo::EcubeXY,
-                                 noc::VNet::Request, s, dnode, 16,
-                                 static_cast<TxnId>(i), nullptr));
-    ++live;
-  }
-  for (auto _ : state) {
-    eng.run_for(1);
-    benchmark::DoNotOptimize(net.stats().link_flit_hops);
-  }
-  state.SetItemsProcessed(state.iterations());
-  (void)live;
-}
-BENCHMARK(BM_NetworkSaturatedTicks);
 
 void BM_ProtocolReadMiss(benchmark::State& state) {
   dsm::SystemParams p;

@@ -1,18 +1,24 @@
 #!/usr/bin/env bash
 # Full verification: clean build + tier-1 tests, a Release build with
-# bench_simspeed + mdw_workload smokes (catches perf-path code that only
+# bench_micro + mdw_workload smokes (catches perf-path code that only
 # breaks under -O2; the service-layer smoke asserts coalescing actually
 # fires, a 64x64 run bounds the per-node memory footprint, and nm shows
 # that mdw_workload keeps the default operator new), a build
 # of the perfbench benchmark binary (same allocator check) with one short
 # traced paper-grids run and one untraced svc-write run, each of which must
 # print its pinned sim_fingerprint (it compiles against src/ headers
-# directly, so an API change that breaks it shows here), a rebuild of the
-# observability + service tests under ASan/UBSan, a UBSan-only build running
-# the complete tier-1 test list (UB in the protocol/planner hot paths shows
-# up here without ASan's run-time cost), and a TSan build of the sweep,
-# worm-pool and service tests (catches data races in the thread-pool grid
-# runner, the only multi-threaded code).
+# directly, so an API change that breaks it shows here), and, where perf
+# is available, a cache-miss snapshot of one zipf-32x32-mima run; then a
+# rebuild of the observability + service tests under ASan/UBSan, a
+# UBSan-only build running the complete tier-1 test list (UB in the
+# protocol/planner hot paths shows up here without ASan's run-time cost),
+# and a TSan build of the sweep, worm-pool and service tests (catches data
+# races in the thread-pool grid runner, the only multi-threaded code).
+#
+# No stage reads a committed benchmark result.  Throughput is checked
+# before a merge by `python3 scripts/perf_ab.py`, an interleaved A/B of
+# perfbench between HEAD and the working tree (about 80 minutes; README
+# "Measuring a change").
 #
 #   $ scripts/verify.sh [build-dir]
 set -euo pipefail
@@ -64,10 +70,10 @@ cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
 echo
-echo "=== release: -O3 build + bench_simspeed + mdw_workload smokes (${REL_BUILD}) ==="
+echo "=== release: -O3 build + bench_micro + mdw_workload smokes (${REL_BUILD}) ==="
 cmake -B "$REL_BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$REL_BUILD" -j "$JOBS" \
-    --target bench_simspeed test_determinism mdw_workload_cli
+    --target bench_micro test_determinism mdw_workload_cli
 "$REL_BUILD"/tests/test_determinism
 check_default_allocator "$REL_BUILD"/src/workload/mdw_workload
 "$REL_BUILD"/src/workload/mdw_workload --gen=zipfian --mesh=8x8 \
@@ -90,27 +96,10 @@ mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 print("64x64 footprint smoke: peak RSS %.1f MB (limit 64 MB)" % mb)
 sys.exit(rc if rc != 0 else (1 if mb > 64 else 0))
 PY
-"$REL_BUILD"/bench/bench_simspeed --benchmark_min_time=0.05 \
-    --benchmark_filter='SingleTxn/16x16/UI-UA|Burst/8x8|Stream/16x16'
-# Cache-behaviour snapshot of the SoA router arena (EXPERIMENTS.md has the
-# methodology and reference numbers).  perf needs both the binary and the
-# kernel's permission (perf_event_paranoid), so probe with a real counter
-# read and skip quietly when either is missing — CI boxes and containers
-# often have no perf.
-if command -v perf >/dev/null 2>&1 && \
-   perf stat -e cache-misses true >/dev/null 2>&1; then
-  echo "--- perf stat: cache misses, Burst/32x32 ---"
-  perf stat -e cache-references,cache-misses \
-      "$REL_BUILD"/bench/bench_simspeed --benchmark_min_time=0.05 \
-      --benchmark_filter='Burst/32x32' 2>&1 | tail -8
-else
-  echo "perf unavailable (not installed or not permitted): cache-miss snapshot skipped"
-fi
-# Throughput regression gate over the committed trajectory.
-python3 scripts/check_simspeed.py
+"$REL_BUILD"/bench/bench_micro --benchmark_min_time=0.05
 
 echo
-echo "=== benchmark: perfbench build + paper-grids and svc-write fingerprints (${BENCH_BUILD}) ==="
+echo "=== benchmark: perfbench build + paper-grids and svc-write fingerprints + perf snapshot (${BENCH_BUILD}) ==="
 # One traced unit of e3+e4+e5+e8: every point completes with a positive
 # invalidation latency, the traced and untraced runs give the same
 # fingerprint, and four E3/E4 values match EXPERIMENTS.md; any miss exits
@@ -125,6 +114,20 @@ check_fingerprint 0xa5f5b62b6ada5a73 \
     "$BENCH_BUILD"/perfbench --workload paper-grids --seed 1 --seconds 1 --trace 1
 check_fingerprint 0xbe1fe032b5f36b98 \
     "$BENCH_BUILD"/perfbench --workload svc-write-16x16-uiua --seed 1 --seconds 1 --trace 0
+# Cache-behaviour snapshot of the SoA router arena on the dense workload
+# (EXPERIMENTS.md E13 has the methodology).  perf needs both the binary and
+# the kernel's permission (perf_event_paranoid), so probe with a real
+# counter read and skip quietly when either is missing — CI boxes and
+# containers often have no perf.
+if command -v perf >/dev/null 2>&1 && \
+   perf stat -e cache-misses true >/dev/null 2>&1; then
+  echo "--- perf stat: cache misses, zipf-32x32-mima ---"
+  perf stat -e cache-references,cache-misses \
+      "$BENCH_BUILD"/perfbench --workload zipf-32x32-mima --seed 1 \
+      --seconds 1 --trace 0 2>&1 | tail -8
+else
+  echo "perf unavailable (not installed or not permitted): cache-miss snapshot skipped"
+fi
 
 echo
 echo "=== sanitizers: ASan/UBSan build, obs + worm-pool + stream tests (${SAN_BUILD}) ==="

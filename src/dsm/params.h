@@ -61,9 +61,6 @@ struct SystemParams {
   /// section 12) and never reads this field.
   int plan_cache_entries = 4096;
 
-  double cycle_ns = 5.0;   // one network cycle
-  int proc_cycle = 2;      // network cycles per 100 MHz processor cycle
-
   // Controller / memory latencies (network cycles).
   int cache_access = 4;    // tag + data access at the CC
   int dir_lookup = 6;      // directory read-modify-write at the DC

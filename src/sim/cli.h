@@ -1,5 +1,5 @@
 // Strict command-line flag parsing shared by the mdw_workload and mdw_sweep
-// CLIs.
+// CLIs and the bench binaries (bench/bench_common.h).
 //
 // A numeric flag value must parse as a whole and fit its destination type:
 // "--seed=xyz", "--think=12abc", "--coalesce=-1" (into an unsigned field) or
@@ -81,6 +81,16 @@ public:
     std::string v;
     if (!flag(arg, key, v)) return false;
     number(key, v, out);
+    return true;
+  }
+
+  /// As flag(), and die unless the value is positive (a count, such as a
+  /// worker or repetition count).
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  bool positive_flag(const std::string& arg, const char* key, T& out) const {
+    if (!flag(arg, key, out)) return false;
+    if (out <= 0) die(std::string(key) + " must be positive (got " + arg + ")");
     return true;
   }
 

@@ -5,8 +5,8 @@
 
 namespace mdw {
 
-/// Simulation time, measured in network cycles (5 ns each by default; see
-/// dsm::SystemParams::cycle_ns).
+/// Simulation time, measured in network cycles of 5 ns (see the timing note
+/// at the top of dsm/params.h).
 using Cycle = std::uint64_t;
 
 /// Flat node identifier in a 2-D mesh, row-major: id = y * width + x.

@@ -50,11 +50,13 @@ void usage(const char* argv0) {
       "  --concurrent=N,...   concurrent transactions; 0 = isolated (default),\n"
       "                       at most k*k - 1\n"
       "  --rounds=N           hot-spot rounds (default 3)\n"
-      "  --reps=N             repetitions per point (default 8)\n"
+      "  --reps=N             repetitions per controlled or hot-spot point\n"
+      "                       (default 8); a stream point runs once\n"
       "  --seed=S             base seed for per-point SplitMix64 derivation\n"
       "\n"
       "options:\n"
-      "  --jobs=N             worker threads (default: hardware concurrency)\n"
+      "  --jobs=N             worker threads, N >= 1 (default: hardware\n"
+      "                       concurrency)\n"
       "  --format=F           table output: plain (default) | csv | json\n"
       "  --points-json=PATH   write per-point results + merged metrics JSON\n"
       "  --metrics-json=PATH  write merged registry (+ heatmap) JSON\n"
@@ -109,8 +111,8 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    // Flags stored as given: nothing to check beyond a strict parse.
-    if (cli.flag(a, "--jobs", opt.jobs) ||
+    // Flags stored as given once they parse (and --jobs is positive).
+    if (cli.positive_flag(a, "--jobs", opt.jobs) ||
         cli.flag(a, "--points-json", opt.points_json) ||
         cli.flag(a, "--metrics-json", opt.metrics_json)) {
       continue;
@@ -172,9 +174,8 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (cli.flag(a, "--concurrent", v)) {
       has_axes = true;
       grid.concurrency = parse_int_list(cli, "--concurrent", v, 0);
-    } else if (cli.flag(a, "--reps", grid.repetitions)) {
+    } else if (cli.positive_flag(a, "--reps", grid.repetitions)) {
       has_axes = true;
-      if (grid.repetitions <= 0) cli.die("--reps must be positive");
     } else if (cli.flag(a, "--format", v)) {
       if (v != "plain" && v != "csv" && v != "json") {
         cli.die("bad --format '" + v + "' (plain | csv | json)");
@@ -286,10 +287,14 @@ int main(int argc, char** argv) {
   ro.progress = opt.progress && isatty(fileno(stderr));
   const sweep::ThreadPoolRunner runner(ro);
 
-  std::printf("sweep %s — %s\n%zu points, %d worker thread(s), "
-              "%d repetitions per point\n\n",
+  // A stream point replays its stream once, whatever --reps says.
+  const std::string reps =
+      grid.gens.front() != workload::GenKind::None
+          ? "one run per stream point"
+          : std::to_string(grid.repetitions) + " repetitions per point";
+  std::printf("sweep %s — %s\n%zu points, %d worker thread(s), %s\n\n",
               opt.job.name, opt.job.description, points.size(),
-              runner.effective_jobs(), grid.repetitions);
+              runner.effective_jobs(), reps.c_str());
 
   const sweep::SweepReport report = runner.run(points);
   if (!report.ok) {

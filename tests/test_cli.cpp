@@ -1,6 +1,7 @@
 // The CLIs' input validation: strict numeric flag parsing (sim/cli.h) and
-// range checks in mdw_workload and mdw_sweep, mdw_workload's handling of
-// trace files the MDWT decoder rejects, and its end-of-run coherence check.
+// range checks in mdw_workload, mdw_sweep and the bench binaries,
+// mdw_workload's handling of trace files the MDWT decoder rejects, and its
+// end-of-run coherence check.
 // The end-to-end cases run the built binaries and check their exit status
 // and message.
 #include <gtest/gtest.h>
@@ -84,6 +85,8 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
   const std::string sweep1 =
       std::string("'") + MDW_SWEEP_BIN +
       "' --schemes=UI-UA --reps=1 --no-progress --jobs=1";
+  const std::string bench =
+      std::string("'") + MDW_BENCH_MESHSIZE_BIN + "' --no-progress";
   const struct {
     std::string cmd;
     const char* flag;
@@ -119,6 +122,13 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
       {sweep1 + " --gens=zipfian --mesh=4 --gen-blocks=0 --gen-ops=10",
        "--gen-blocks"},
       {sweep1 + " --gens=zipfian --mesh=4 --gen-ops=0", "--gen-ops"},
+      // --jobs takes a positive worker count; omitted, it means hardware
+      // concurrency.
+      {sweep + " --d=2 --jobs=-5", "--jobs"},
+      {sweep + " --d=2 --jobs=0", "--jobs"},
+      {bench + " --jobs=abc", "--jobs"},
+      {bench + " --jobs=-5", "--jobs"},
+      {bench + " --jobs=4x", "--jobs"},
   };
   for (const auto& c : cases) {
     const CmdResult r = run(c.cmd);
@@ -126,6 +136,19 @@ TEST(CliFlags, MalformedNumericFlagsExitTwoNamingTheFlag) {
     EXPECT_NE(r.output.find(c.flag), std::string::npos)
         << c.cmd << "\n" << r.output;
   }
+}
+
+TEST(CliFlags, SweepSaysStreamPointsRunOnce) {
+  // A stream point replays its generator once; --reps does not repeat it.
+  const CmdResult r = run(
+      std::string("'") + MDW_SWEEP_BIN +
+      "' --schemes=UI-UA --mesh=2 --gens=zipfian --reps=8 --gen-ops=4 "
+      "--gen-warmup=0 --gen-blocks=8 --jobs=1 --no-progress");
+  EXPECT_EQ(r.status, 0) << r.output;
+  EXPECT_NE(r.output.find("one run per stream point"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("repetitions per point"), std::string::npos)
+      << r.output;
 }
 
 TEST(CliFlags, WorkloadRunsOnOneLineCachesAndChecksCoherence) {
