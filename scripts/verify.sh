@@ -9,7 +9,8 @@
 # print its pinned sim_fingerprint (it compiles against src/ headers
 # directly, so an API change that breaks it shows here), and, where perf
 # is available, a cache-miss snapshot of one zipf-32x32-mima run; then a
-# rebuild of the observability + service tests under ASan/UBSan, a
+# rebuild of the observability, service and protocol tests under ASan/UBSan
+# (a handler that reads a node's MSHR record after it is erased shows here), a
 # UBSan-only build running the complete tier-1 test list (UB in the
 # protocol/planner hot paths shows up here without ASan's run-time cost),
 # and a TSan build of the sweep, worm-pool and service tests (catches data
@@ -130,12 +131,14 @@ else
 fi
 
 echo
-echo "=== sanitizers: ASan/UBSan build, obs + worm-pool + stream tests (${SAN_BUILD}) ==="
+echo "=== sanitizers: ASan/UBSan build, obs + worm-pool + stream + protocol tests (${SAN_BUILD}) ==="
 cmake -B "$SAN_BUILD" -S . -DMDW_SANITIZE=address,undefined >/dev/null
 cmake --build "$SAN_BUILD" -j "$JOBS" \
     --target test_obs_metrics test_worm_pool test_stream test_synthetic \
-    test_svc
-ctest --test-dir "$SAN_BUILD" -R 'obs|worm_pool|stream|synthetic|svc' \
+    test_svc test_protocol test_protocol_stress test_consistency \
+    test_machine_checker
+ctest --test-dir "$SAN_BUILD" \
+    -R 'obs|worm_pool|stream|synthetic|svc|protocol|consistency|machine_checker' \
     --output-on-failure
 
 echo

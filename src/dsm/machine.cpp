@@ -29,35 +29,29 @@ Machine::Machine(const SystemParams& params, obs::MetricsRegistry* metrics)
 
 Machine::~Machine() = default;
 
-void Machine::txn_started(TxnId txn, const InvalTxnRecord& rec) {
+void Machine::txn_started(const InvalTxnRecord& rec) {
   ++stats_.inval_txns;
   stats_.inval_sharers.add(static_cast<double>(rec.sharers));
   stats_.inval_request_worms += static_cast<std::uint64_t>(rec.request_worms);
   stats_.inval_ack_messages += static_cast<std::uint64_t>(rec.ack_messages);
   stats_.inval_total_ack_worms +=
       static_cast<std::uint64_t>(rec.total_ack_worms);
-  live_txns_[txn] = rec;
 }
 
-void Machine::txn_finished(TxnId txn) {
-  auto it = live_txns_.find(txn);
-  if (it == live_txns_.end()) return;
-  const InvalTxnRecord& rec = it->second;
-  it->second.end = eng_.now();
-  stats_.inval_latency.add(static_cast<double>(it->second.end -
-                                               it->second.start));
+void Machine::txn_finished(InvalTxnRecord& rec) {
+  rec.end = eng_.now();
+  stats_.inval_latency.add(static_cast<double>(rec.end - rec.start));
   if (tracer_) {
     tracer_->complete("inval_txn", "dsm", rec.start, rec.end - rec.start,
                       rec.home,
-                      "{\"txn\": " + std::to_string(txn) +
+                      "{\"txn\": " + std::to_string(rec.txn) +
                           ", \"addr\": " + std::to_string(rec.addr) +
                           ", \"sharers\": " + std::to_string(rec.sharers) +
                           ", \"acks\": " + std::to_string(rec.ack_messages) +
                           "}");
   }
-  if (record_txns_) stats_.records.push_back(it->second);
-  if (txn_observer_) txn_observer_(it->second);
-  live_txns_.erase(it);
+  if (record_txns_) stats_.records.push_back(rec);
+  if (txn_observer_) txn_observer_(rec);
 }
 
 void Machine::set_trace_writer(obs::TraceWriter* t) {

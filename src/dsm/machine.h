@@ -14,17 +14,6 @@
 
 namespace mdw::dsm {
 
-struct InvalTxnRecord {
-  BlockAddr addr = 0;
-  NodeId home = kInvalidNode;
-  int sharers = 0;
-  int request_worms = 0;
-  int ack_messages = 0;     // acknowledgments arriving at the home
-  int total_ack_worms = 0;  // all ack worms, incl. hierarchical deposits
-  Cycle start = 0;
-  Cycle end = 0;
-};
-
 struct MachineStats {
   // Sampler-style handles over registry histograms of the same names (so
   // percentiles come for free; see obs::SamplerHandle).
@@ -72,9 +61,10 @@ public:
   /// simulation hot paths never pay for registry upkeep.
   void snapshot_metrics();
 
-  // Transaction bookkeeping, called from the home Node.
-  void txn_started(TxnId txn, const InvalTxnRecord& rec);
-  void txn_finished(TxnId txn);
+  // Transaction bookkeeping, called from the home Node, which keeps each
+  // record in its InvalGroup: started counts it; finished stamps rec.end.
+  void txn_started(const InvalTxnRecord& rec);
+  void txn_finished(InvalTxnRecord& rec);
 
   /// Per-transaction completion observer (rec.end is stamped before the
   /// call).  One subscriber at a time; pass nullptr to detach.  Workload
@@ -107,7 +97,6 @@ private:
   MachineStats stats_;
   std::function<void(const InvalTxnRecord&)> txn_observer_;
   bool record_txns_ = false;
-  std::unordered_map<TxnId, InvalTxnRecord> live_txns_;
 };
 
 } // namespace mdw::dsm

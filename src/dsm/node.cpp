@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "dsm/machine.h"
 #include "noc/worm_builder.h"
@@ -56,13 +57,17 @@ void Node::send_coh(MsgType t, BlockAddr a, NodeId dst, NodeId requester,
 // Processor interface
 // ---------------------------------------------------------------------------
 
+Node::Mshr& Node::begin_access(BlockAddr a, Access kind) {
+  Mshr& r = mshrs_[a];
+  assert(r.access == Access::None && "one outstanding access per block");
+  r.access = kind;
+  r.start = machine_.engine().now();
+  ++accesses_;
+  return r;
+}
+
 void Node::read(BlockAddr a, std::function<void(std::uint64_t)> done) {
-  assert(ops_.count(a) == 0 && "one outstanding access per block");
-  OutstandingOp op;
-  op.is_write = false;
-  op.start = machine_.engine().now();
-  op.done_read = std::move(done);
-  ops_.emplace(a, std::move(op));
+  begin_access(a, Access::Read).done_read = std::move(done);
   machine_.engine().schedule_after(p_.cache_access, [this, a] {
     if (cache_.lookup(a) != LineState::Invalid) {
       cache_.note_hit();
@@ -75,13 +80,9 @@ void Node::read(BlockAddr a, std::function<void(std::uint64_t)> done) {
 }
 
 void Node::write(BlockAddr a, std::uint64_t value, std::function<void()> done) {
-  assert(ops_.count(a) == 0 && "one outstanding access per block");
-  OutstandingOp op;
-  op.is_write = true;
-  op.wvalue = value;
-  op.start = machine_.engine().now();
-  op.done_write = std::move(done);
-  ops_.emplace(a, std::move(op));
+  Mshr& r = begin_access(a, Access::Write);
+  r.wvalue = value;
+  r.done_write = std::move(done);
   machine_.engine().schedule_after(p_.cache_access, [this, a, value] {
     if (cache_.lookup(a) == LineState::Modified) {
       cache_.note_hit();
@@ -96,17 +97,22 @@ void Node::write(BlockAddr a, std::uint64_t value, std::function<void()> done) {
 }
 
 void Node::complete_op(BlockAddr a, std::uint64_t value) {
-  auto it = ops_.find(a);
-  assert(it != ops_.end());
-  OutstandingOp op = std::move(it->second);
-  ops_.erase(it);  // before the callback: it may issue a fresh access
-  const Cycle lat = machine_.engine().now() - op.start;
-  if (op.is_write) {
+  Mshr* r = mshr_of(a);
+  assert(r != nullptr && r->access != Access::None);
+  const bool is_write = r->access == Access::Write;
+  const Cycle lat = machine_.engine().now() - r->start;
+  auto done_read = std::move(r->done_read);
+  auto done_write = std::move(r->done_write);
+  r->access = Access::None;
+  --accesses_;
+  // Erase before the callback: it may issue a fresh access.
+  if (r->empty()) mshrs_.erase(a);
+  if (is_write) {
     stats_.write_latency.add(static_cast<double>(lat));
-    if (op.done_write) op.done_write();
+    if (done_write) done_write();
   } else {
     stats_.read_latency.add(static_cast<double>(lat));
-    if (op.done_read) op.done_read(value);
+    if (done_read) done_read(value);
   }
 }
 
@@ -235,12 +241,7 @@ void Node::dc_write(BlockAddr a, NodeId requester) {
       if (e.sharers.contains(id_)) {
         // The home's own cached copy is invalidated locally (no message).
         e.sharers.erase(id_);
-        if (const auto* op = find_op(a);
-            op && !op->is_write && cache_.lookup(a) == LineState::Invalid) {
-          // Our own ReadReply is still in flight; drop the line on arrival.
-          pending_inval_.insert(a);
-        }
-        cache_.invalidate(a);
+        cc_invalidate_block(a);
       }
       e.active = PendingReq{requester, true};
       if (e.sharers.empty()) {
@@ -341,34 +342,28 @@ void Node::launch_invalidation(std::vector<BlockAddr> blocks) {
   dir.requester = dir_.entry(blocks.front()).active.requester;
   dir.blocks = blocks;
 
-  InvalGroup g;
+  InvalGroup& g = groups_[wire];
   g.acks_needed = uni.count();
-  const Cycle now = machine_.engine().now();
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const BlockAddr a = blocks[i];
     ++dir_.stats().inval_txns;
     // The first block reuses the wire txn id and carries the plan's worm
     // counts; later blocks get their own ids with zero worm counts, so
     // aggregate traffic accounting stays truthful.
-    const TxnId mtxn = i == 0 ? wire : machine_.next_txn();
-    g.member_txns.push_back(mtxn);
-
-    InvalTxnRecord rec;
-    rec.addr = a;
+    InvalTxnRecord& rec = g.records.emplace_back();
+    rec.txn = i == 0 ? wire : machine_.next_txn();
+    rec.addr = blocks[i];
     rec.home = id_;
-    rec.sharers = dir_.entry(a).sharers.count();  // the block's own d
+    rec.sharers = dir_.entry(blocks[i]).sharers.count();  // the block's own d
     rec.request_worms = i == 0 ? static_cast<int>(plan.request_worms.size()) : 0;
     rec.ack_messages = i == 0 ? plan.expected_ack_messages : 0;
     rec.total_ack_worms = i == 0 ? plan.total_ack_worms : 0;
-    rec.start = now;
-    machine_.txn_started(mtxn, rec);
+    rec.start = machine_.engine().now();
+    machine_.txn_started(rec);
   }
   if (blocks.size() > 1) {
     ++stats_.svc_groups;
     stats_.svc_coalesced_txns += blocks.size();
   }
-  g.blocks = std::move(blocks);
-  groups_.emplace(wire, std::move(g));
 
   for (auto& w : plan.request_worms) oc_send(std::move(w));
 
@@ -423,13 +418,13 @@ void Node::dc_on_ack(TxnId txn, int count) {
   g.acks_got += count;
   assert(g.acks_got <= g.acks_needed);
   if (g.acks_got < g.acks_needed) return;
-  const InvalGroup done = std::move(it->second);
+  InvalGroup done = std::move(it->second);
   groups_.erase(it);
-  for (std::size_t i = 0; i < done.blocks.size(); ++i) {
-    machine_.txn_finished(done.member_txns[i]);
-    complete_member(done.blocks[i], dir_.entry(done.blocks[i]));
+  for (InvalTxnRecord& rec : done.records) {
+    machine_.txn_finished(rec);
+    complete_member(rec.addr, dir_.entry(rec.addr));
   }
-  release_inval_slots(static_cast<int>(done.blocks.size()));
+  release_inval_slots(static_cast<int>(done.records.size()));
 }
 
 void Node::dc_on_data(BlockAddr a, NodeId from, std::uint64_t v,
@@ -544,11 +539,11 @@ void Node::cc_invalidation(NodeId here,
 }
 
 void Node::cc_invalidate_block(BlockAddr a) {
-  if (const auto* op = find_op(a);
-      op && !op->is_write && cache_.lookup(a) == LineState::Invalid) {
+  if (Mshr* r = mshr_of(a); r && r->access == Access::Read &&
+                            cache_.lookup(a) == LineState::Invalid) {
     // Our ReadReply may be in flight behind this invalidation: the read
     // still completes, but the incoming line must be dropped.
-    pending_inval_.insert(a);
+    r->drop_on_fill = true;
   }
   cache_.invalidate(a);  // acks are sent even for evicted copies
 }
@@ -556,27 +551,24 @@ void Node::cc_invalidate_block(BlockAddr a) {
 void Node::cc_reply(const CohMsg& m) {
   switch (m.type) {
     case MsgType::ReadReply: {
+      Mshr* r = mshr_of(m.addr);
+      assert(r != nullptr && r->access == Access::Read);
+      const bool drop = std::exchange(r->drop_on_fill, false);
       install_line(m.addr, LineState::Shared, m.value);
-      if (pending_inval_.erase(m.addr) > 0) cache_.invalidate(m.addr);
-      assert([&] {
-        const auto* op = find_op(m.addr);
-        return op != nullptr && !op->is_write;
-      }());
+      if (drop) cache_.invalidate(m.addr);
       complete_op(m.addr, m.value);
       break;
     }
     case MsgType::WriteReply: {
-      const auto* op = find_op(m.addr);
-      assert(op != nullptr && op->is_write);
-      const std::uint64_t wv = op->wvalue;
+      Mshr* r = mshr_of(m.addr);
+      assert(r != nullptr && r->access == Access::Write);
+      const std::uint64_t wv = r->wvalue;
+      const bool recall = std::exchange(r->recall, false);
+      const bool downgrade_only = r->recall_downgrade;
       install_line(m.addr, LineState::Modified, wv);
       complete_op(m.addr, wv);
       // Service a recall that overtook this grant.
-      if (auto it = pending_recall_.find(m.addr); it != pending_recall_.end()) {
-        const bool downgrade_only = it->second;
-        pending_recall_.erase(it);
-        cc_recall(m.addr, downgrade_only);
-      }
+      if (recall) cc_recall(m.addr, downgrade_only);
       break;
     }
     case MsgType::Recall:
@@ -586,7 +578,10 @@ void Node::cc_reply(const CohMsg& m) {
       cc_recall(m.addr, /*downgrade_only=*/true);
       break;
     case MsgType::WritebackAck:
-      wb_pending_.erase(m.addr);
+      if (Mshr* r = mshr_of(m.addr)) {
+        r->writeback = false;
+        if (r->empty()) mshrs_.erase(m.addr);
+      }
       break;
     default:
       assert(false && "not a CC message");
@@ -594,11 +589,13 @@ void Node::cc_reply(const CohMsg& m) {
 }
 
 void Node::cc_recall(BlockAddr a, bool downgrade_only) {
-  if (wb_pending_.count(a)) return;  // the in-flight Writeback answers it
+  Mshr* r = mshr_of(a);
+  if (r && r->writeback) return;  // the in-flight Writeback answers it
   if (cache_.lookup(a) != LineState::Modified) {
-    if (const auto* op = find_op(a); op && op->is_write) {
+    if (r && r->access == Access::Write) {
       // Early recall: it overtook the WriteReply that makes us the owner.
-      pending_recall_[a] = downgrade_only;
+      r->recall = true;
+      r->recall_downgrade = downgrade_only;
       return;
     }
     // Stale recall (reply/request networks may reorder WritebackAck vs
@@ -614,7 +611,7 @@ void Node::cc_recall(BlockAddr a, bool downgrade_only) {
 void Node::install_line(BlockAddr a, LineState st, std::uint64_t value) {
   const auto ev = cache_.install(a, st, value);
   if (ev.valid && ev.dirty) {
-    wb_pending_.insert(ev.addr);
+    mshrs_[ev.addr].writeback = true;
     send_coh(MsgType::Writeback, ev.addr, machine_.home_of(ev.addr), id_, 0,
              ev.value);
   }

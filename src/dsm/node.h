@@ -7,23 +7,26 @@
 // compositions (send_occupancy each).  Home-node occupancy — the metric the
 // paper optimizes — is the sum of both at the home.
 //
-// The processor interface is MSHR-based: any number of accesses to DISTINCT
-// blocks may be outstanding at once (svc::Session drives this; the blocking
-// harnesses issue one at a time), while a second access to a block already
-// in flight is a caller error.  Every invalidation transaction launches as a
-// group of one or more blocks: one plan over the union of their sharer
-// sets, one request wave, one ack wave completing every block.  The home's
-// service-layer machinery (DESIGN.md section 15) decides when and with whom
-// a block launches: a bounded invalidation pipeline with a FIFO overflow
-// queue, and a coalescing window that groups back-to-back invalidations.
-// Both are off by default (SvcParams), and then each block launches alone
-// the moment the directory decides it needs invalidating.
+// Everything the node has in flight for one block lives in that block's
+// MSHR record (Mshr): the processor access, a writeback awaiting its ack,
+// and the early Recall or invalidation that overtook a reply.  DESIGN.md
+// section 14 tabulates the CC's action for each line state, record and
+// incoming message.  Any number of accesses to DISTINCT blocks may be
+// outstanding at once (svc::Session drives this; the blocking harnesses
+// issue one at a time); a second access to a block already in flight is a
+// caller error.  Every invalidation transaction launches as a group of one
+// or more blocks: one plan over the union of their sharer sets, one request
+// wave, one ack wave completing every block.  The home's service-layer
+// machinery (DESIGN.md section 15) decides when and with whom a block
+// launches: a bounded invalidation pipeline with a FIFO overflow queue, and
+// a coalescing window that groups back-to-back invalidations.  Both are off
+// by default (SvcParams), and then each block launches alone the moment the
+// directory decides it needs invalidating.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/inval_planner.h"
@@ -37,6 +40,19 @@
 namespace mdw::dsm {
 
 class Machine;
+
+/// One block's invalidation transaction, from launch to its last ack.
+struct InvalTxnRecord {
+  TxnId txn = 0;
+  BlockAddr addr = 0;
+  NodeId home = kInvalidNode;
+  int sharers = 0;
+  int request_worms = 0;
+  int ack_messages = 0;     // acknowledgments arriving at the home
+  int total_ack_worms = 0;  // all ack worms, incl. hierarchical deposits
+  Cycle start = 0;
+  Cycle end = 0;
+};
 
 struct NodeStats {
   std::uint64_t occupancy_cycles = 0;   // DC + OC busy cycles at this node
@@ -66,7 +82,7 @@ public:
   /// svc::Session, which also enforces a per-client window).
   void read(BlockAddr a, std::function<void(std::uint64_t value)> done);
   void write(BlockAddr a, std::uint64_t value, std::function<void()> done);
-  [[nodiscard]] bool op_pending() const { return !ops_.empty(); }
+  [[nodiscard]] bool op_pending() const { return accesses_ > 0; }
 
   /// Entry point for every worm delivered (or absorbed) at this node.
   void handle_delivery(const noc::WormPtr& worm);
@@ -143,35 +159,33 @@ private:
   Cycle dc_free_at_ = 0;
   Cycle cc_free_at_ = 0;
 
-  /// One outstanding processor access (MSHR entry), keyed by block.
-  struct OutstandingOp {
-    bool is_write = false;
+  /// Miss-status holding register: what this node has in flight for one
+  /// block.  Created on first need, erased once it holds nothing.
+  struct Mshr {
+    enum class Access : std::uint8_t { None, Read, Write };
+    Access access = Access::None;  // the processor access in flight
     std::uint64_t wvalue = 0;
     Cycle start = 0;
     std::function<void(std::uint64_t)> done_read;
     std::function<void()> done_write;
+    bool writeback = false;         // Modified eviction awaiting WritebackAck
+    bool recall = false;            // Recall(Share) that overtook WriteReply
+    bool recall_downgrade = false;  // ... and it was a RecallShare
+    bool drop_on_fill = false;      // invalidation that overtook ReadReply
+    [[nodiscard]] bool empty() const {
+      return access == Access::None && !writeback && !recall && !drop_on_fill;
+    }
   };
-  std::unordered_map<BlockAddr, OutstandingOp> ops_;
+  using Access = Mshr::Access;
+  std::unordered_map<BlockAddr, Mshr> mshrs_;
+  int accesses_ = 0;  // records holding an access (op_pending)
 
-  [[nodiscard]] OutstandingOp* find_op(BlockAddr a) {
-    auto it = ops_.find(a);
-    return it == ops_.end() ? nullptr : &it->second;
+  [[nodiscard]] Mshr* mshr_of(BlockAddr a) {
+    auto it = mshrs_.find(a);
+    return it == mshrs_.end() ? nullptr : &it->second;
   }
-
-  /// Modified-line evictions awaiting WritebackAck (non-silent writebacks;
-  /// Recalls for these lines are ignored — the in-flight Writeback serves
-  /// as the recall response at the home).
-  std::unordered_set<BlockAddr> wb_pending_;
-
-  /// Early-recall race: a Recall/RecallShare that overtook our WriteReply
-  /// (they travel on different virtual networks).  Applied right after the
-  /// write completes.  Value: downgrade_only.
-  std::unordered_map<BlockAddr, bool> pending_recall_;
-
-  /// Early-invalidation race: an invalidation that overtook our ReadReply.
-  /// The read still completes (it was ordered before the write at the
-  /// home), but the line must not stay cached.
-  std::unordered_set<BlockAddr> pending_inval_;
+  /// Open a processor access on `a`'s record.
+  Mshr& begin_access(BlockAddr a, Access kind);
 
   // --- service-layer home-side state (idle under default SvcParams) -------
   /// In-flight invalidation transactions at this home (each block of a
@@ -187,11 +201,11 @@ private:
   /// early pipeline-full flush).
   std::uint64_t coalesce_epoch_ = 0;
 
-  /// One launched invalidation: its blocks and their per-block machine txn
-  /// ids, completed together on the shared ack wave (wire txn is the key).
+  /// One launched invalidation: the record of each of its blocks, in
+  /// launch order, completed together on the shared ack wave (wire txn is
+  /// the key).
   struct InvalGroup {
-    std::vector<BlockAddr> blocks;
-    std::vector<TxnId> member_txns;
+    std::vector<InvalTxnRecord> records;
     int acks_needed = 0;
     int acks_got = 0;
   };

@@ -81,44 +81,30 @@ void Session::issue(PendingOp op) {
   busy_addrs_.insert(op.addr);
   ++in_flight_;
   stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
-  LiveOp live;
-  live.is_write = op.is_write;
-  live.addr = op.addr;
-  live.value = op.value;
-  live.issued = m_.engine().now();
-  live_.emplace(op.ticket, live);
+  const OpResult r{.ticket = op.ticket, .is_write = op.is_write,
+                   .addr = op.addr, .value = op.value,
+                   .issued = m_.engine().now()};
   if (op.is_write) {
     ++stats_.issued_writes;
     m_.node(client_).write(op.addr, op.value,
-                           [this, t = op.ticket, v = op.value] {
-                             on_done(t, v);
-                           });
+                           [this, r] { on_done(r, r.value); });
   } else {
     ++stats_.issued_reads;
-    m_.node(client_).read(op.addr, [this, t = op.ticket](std::uint64_t v) {
-      on_done(t, v);
-    });
+    m_.node(client_).read(op.addr,
+                          [this, r](std::uint64_t v) { on_done(r, v); });
   }
 }
 
-void Session::on_done(Ticket t, std::uint64_t value) {
-  auto it = live_.find(t);
-  assert(it != live_.end());
-  OpResult r;
-  r.ticket = t;
-  r.is_write = it->second.is_write;
-  r.addr = it->second.addr;
+void Session::on_done(OpResult r, std::uint64_t value) {
   r.value = value;
-  r.issued = it->second.issued;
   r.completed = m_.engine().now();
-  busy_addrs_.erase(it->second.addr);
-  live_.erase(it);
+  busy_addrs_.erase(r.addr);
   --in_flight_;
   ++stats_.completed;
   if (on_complete_) {
     on_complete_(r);
   } else {
-    completed_.emplace(t, r);
+    completed_.emplace(r.ticket, r);
   }
   pump();  // the freed slot (and freed block) may admit queued ops
 }

@@ -97,25 +97,19 @@ private:
     BlockAddr addr = 0;
     std::uint64_t value = 0;
   };
-  struct LiveOp {
-    bool is_write = false;
-    BlockAddr addr = 0;
-    std::uint64_t value = 0;
-    Cycle issued = 0;
-  };
 
   /// Admit queued ops (in order, skipping block-busy ones) until the window
   /// is full or nothing is admissible.
   void pump();
+  /// Hand `op` to the node; its OpResult rides in the completion callback.
   void issue(PendingOp op);
-  void on_done(Ticket t, std::uint64_t value);
+  void on_done(OpResult r, std::uint64_t value);
 
   dsm::Machine& m_;
   NodeId client_;
   SessionOptions opt_;
   Ticket next_ticket_ = 1;
   std::list<PendingOp> pending_;
-  std::unordered_map<Ticket, LiveOp> live_;
   std::unordered_set<BlockAddr> busy_addrs_;
   std::unordered_map<Ticket, OpResult> completed_;
   std::function<void(const OpResult&)> on_complete_;

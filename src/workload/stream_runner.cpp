@@ -24,10 +24,6 @@ StreamRunner::StreamRunner(dsm::Machine& m, StreamSource& src,
   }
 }
 
-StreamRunner::~StreamRunner() {
-  if (observer_attached_) m_.set_txn_observer(nullptr);
-}
-
 std::string StreamResult::describe_stop(Cycle max_cycles) const {
   if (drained) {
     return "event queue drained at cycle " + std::to_string(stop_cycle) +
@@ -66,17 +62,14 @@ std::string StreamResult::describe_stalls() const {
 }
 
 StreamResult StreamRunner::run() {
-  if (opt_.windowed) {
-    // Window invalidation latencies as transactions complete; pre-warmup
-    // completions are dropped by the warmup_done_ gate, not by the
-    // windowing cutoff, so no pre-warmup state accumulates.
-    m_.set_txn_observer([this](const dsm::InvalTxnRecord& rec) {
-      if (warmup_done_) {
-        win_.record_txn(rec.end, static_cast<double>(rec.end - rec.start));
-      }
-    });
-    observer_attached_ = true;
-  }
+  // Window invalidation latencies as transactions complete; pre-warmup
+  // completions are dropped by the warmup_done_ gate, not by the windowing
+  // cutoff, so no pre-warmup state accumulates.
+  m_.set_txn_observer([this](const dsm::InvalTxnRecord& rec) {
+    if (warmup_done_) {
+      win_.record_txn(rec.end, static_cast<double>(rec.end - rec.start));
+    }
+  });
 
   const int n = src_.nprocs();
   for (int p = 0; p < n; ++p) {
@@ -106,16 +99,12 @@ StreamResult StreamRunner::run() {
   // Let in-flight acknowledgments settle for accurate traffic counters.
   (void)m_.engine().run_to_quiescence(1'000'000);
   end_cycle_ = m_.engine().now();
-
-  if (observer_attached_) {
-    m_.set_txn_observer(nullptr);
-    observer_attached_ = false;
-  }
+  m_.set_txn_observer(nullptr);
 
   r.cycles = end_cycle_ - t0;
   r.accesses = accesses_;
   if (r.completed) r.procs = prog_;  // timed-out runs keep the snapshot
-  if (opt_.windowed && warmup_done_) {
+  if (warmup_done_) {
     r.warmup_end = win_.warmup_end();
     r.steady_cycles = end_cycle_ > r.warmup_end ? end_cycle_ - r.warmup_end
                                                 : 0;
@@ -148,11 +137,12 @@ void StreamRunner::fill(int proc) {
   auto& pp = prog_[static_cast<std::size_t>(proc)];
   Proc& ps = procs_[static_cast<std::size_t>(proc)];
   if (pp.done || ps.draining) return;
-  while (ps.inflight < opt_.outstanding) {
+  svc::Session& s = *ps.session;
+  while (s.in_flight() + static_cast<int>(s.queued()) < opt_.outstanding) {
     TraceOp op;
     if (!src_.next(proc, op)) {
       ps.exhausted = true;
-      if (ps.inflight == 0) {
+      if (s.drained()) {
         pp.done = true;
         ++done_procs_;
       }
@@ -162,13 +152,11 @@ void StreamRunner::fill(int proc) {
     switch (op.kind) {
       case OpKind::Read:
         ++accesses_;
-        ++ps.inflight;
-        (void)ps.session->read(op.addr);
+        (void)s.read(op.addr);
         break;
       case OpKind::Write:
         ++accesses_;
-        ++ps.inflight;
-        (void)ps.session->write(op.addr, m_.engine().now());
+        (void)s.write(op.addr, m_.engine().now());
         break;
       case OpKind::Think:
         // The think gates further ISSUE only; in-flight ops keep going.
@@ -178,7 +166,7 @@ void StreamRunner::fill(int proc) {
         ps.draining = true;
         pp.barrier_id = op.arg;
         // Barrier semantics: arrive only once the window drains.
-        if (ps.inflight == 0) reach_barrier(proc);
+        if (s.drained()) reach_barrier(proc);
         return;
     }
   }
@@ -187,25 +175,22 @@ void StreamRunner::fill(int proc) {
 void StreamRunner::on_done(int proc) {
   auto& pp = prog_[static_cast<std::size_t>(proc)];
   Proc& ps = procs_[static_cast<std::size_t>(proc)];
-  --ps.inflight;
-  assert(ps.inflight >= 0);
   ++completed_accesses_;
-  if (opt_.windowed) {
-    if (!warmup_done_) {
-      if (completed_accesses_ >= opt_.warmup_accesses) {
-        warmup_done_ = true;
-        win_.set_warmup_end(m_.engine().now());
-      }
-    } else {
-      win_.record_access(m_.engine().now());
+  if (!warmup_done_) {
+    if (completed_accesses_ >= opt_.warmup_accesses) {
+      warmup_done_ = true;
+      win_.set_warmup_end(m_.engine().now());
     }
+  } else {
+    win_.record_access(m_.engine().now());
   }
+  // The session counted this access out before calling back.
   if (ps.draining) {
-    if (ps.inflight == 0) reach_barrier(proc);
+    if (ps.session->drained()) reach_barrier(proc);
     return;
   }
   if (ps.exhausted) {
-    if (ps.inflight == 0 && !pp.done) {
+    if (ps.session->drained() && !pp.done) {
       pp.done = true;
       ++done_procs_;
     }

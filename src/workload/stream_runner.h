@@ -32,9 +32,6 @@ struct StreamRunnerOptions {
   /// Execution budget; a run that exhausts it reports completed == false
   /// with per-proc progress for diagnosis.
   Cycle max_cycles = 2'000'000'000;
-  /// Collect windowed stats (the txn observer + per-access bookkeeping).
-  /// Off for a pure replay.
-  bool windowed = true;
   /// Ops each processor keeps in flight through its session (closed loop:
   /// a completion plus one think time re-fills the window).  1 is the
   /// blocking processor; larger values are the load knob of
@@ -99,7 +96,6 @@ class StreamRunner {
 public:
   StreamRunner(dsm::Machine& m, StreamSource& src,
                StreamRunnerOptions opt = {});
-  ~StreamRunner();  // detaches the machine's txn observer
 
   StreamRunner(const StreamRunner&) = delete;
   StreamRunner& operator=(const StreamRunner&) = delete;
@@ -120,10 +116,10 @@ private:
   void on_done(int proc);
   void reach_barrier(int proc);
 
-  /// One processor's closed loop.
+  /// One processor's closed loop.  Its window is its session's ops in
+  /// flight plus those held for their block.
   struct Proc {
     std::unique_ptr<svc::Session> session;
-    int inflight = 0;        // ops handed to the session, not yet complete
     bool exhausted = false;  // the source returned false
     bool draining = false;   // barrier pulled; waiting for the window to drain
   };
@@ -140,7 +136,6 @@ private:
   std::size_t accesses_ = 0;         // issued reads + writes
   std::uint64_t completed_accesses_ = 0;
   bool warmup_done_ = false;
-  bool observer_attached_ = false;
   Cycle end_cycle_ = 0;              // engine time when run() returned
 };
 

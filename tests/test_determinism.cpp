@@ -459,6 +459,51 @@ TEST(Determinism, CoalescingHomeGoldensAcrossKernels) {
   }
 }
 
+TEST(Determinism, EagerMigratoryStreamsReachRaceRules) {
+  // Two 8x8 streams under eager exclusive replies with 1-line caches, so
+  // nodes evict, re-request and are re-granted blocks while writebacks and
+  // grants are still in flight.  End to end, the EC-CM-HG run drops one
+  // stale Recall and the WF-SC-SG run has homes absorb ten eagerly granted
+  // writers' data: cache-controller and home rows of DESIGN.md section 14
+  // that no other stream here reaches.  Both complete coherently.
+  const struct {
+    core::Scheme scheme;
+    std::uint64_t seed;
+    Fingerprint golden;
+  } pins[] = {
+      {core::Scheme::EcCmHg, 2,
+       {8962, 8663, 178, 994383, 66, 299, 497, 92582, 289792, 26810,
+        {25700, 2, 0, 994383, 25698}}},
+      {core::Scheme::WfScSg, 1,
+       {8326, 8326, 801, 1132760, 6, 0, 519, 120014, 286332, 37677,
+        {249336, 5, 0, 1132760, 249331}}},
+  };
+  for (const auto& pin : pins) {
+    const std::string_view name = core::scheme_name(pin.scheme);
+    dsm::SystemParams p;
+    p.mesh_w = p.mesh_h = 8;
+    p.scheme = pin.scheme;
+    p.cache_lines = 1;
+    p.eager_exclusive_reply = true;
+    dsm::Machine m(p);
+    workload::GenConfig g;
+    g.kind = workload::GenKind::Migratory;
+    g.nprocs = m.num_nodes();
+    g.nblocks = 16;
+    g.group = 8;
+    g.ops_per_proc = 60;
+    g.seed = pin.seed;
+    const auto src = workload::make_generator(g, m.network().mesh());
+    workload::StreamRunnerOptions opt;
+    opt.outstanding = 2;
+    workload::StreamRunner runner(m, *src, opt);
+    const workload::StreamResult r = runner.run();
+    ASSERT_TRUE(r.completed) << name << ": " << r.describe_stalls();
+    EXPECT_TRUE(m.all_idle()) << name;
+    EXPECT_EQ(fingerprint_of(m), pin.golden) << name;
+  }
+}
+
 TEST(Determinism, MeasureInvalidationsInvariantUnderScheduler) {
   for (core::Scheme s : kSchemes) {
     analysis::InvalExperimentConfig cfg;
